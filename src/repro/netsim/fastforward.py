@@ -15,7 +15,8 @@ Simulator` run.  Mechanics:
   uninstrumented (ARP warm-up differs from the steady shape anyway).
   The next two run under instrumentation: every ``schedule`` call
   becomes a child *step* (exact delay, label, callback identity), every
-  ``TraceLog.note``/``note_link_bytes`` is snapshotted eagerly (packets
+  trace event (through a ``TraceLog`` subscription) and every
+  ``note_link_bytes`` call is snapshotted eagerly (packets
   mutate in place), every transport boundary crossing (source
   selection, send/receive reports, socket delivery) is recorded as a
   live *invoke*, and every counter cell (node/segment/tunnel/agent
@@ -52,19 +53,22 @@ Simulator` run.  Mechanics:
   ``ff_pure`` callback) are pruned from templates at build time.
 
 The forwarder disengages entirely — plain ``EventQueue.run`` — when
-observability or invariant monitoring is armed (both watch per-event
-state), when no flows are registered, when a run has no deadline, or
-when any segment is lossy or down.
+the trace log has any subscriber (span recorder, invariant monitor,
+flight recorder, or anything else reading events live: replay appends
+entries without calling ``note()``, so a subscriber would miss them),
+when no flows are registered, when a run has no deadline, or when any
+segment is lossy or down.  The capture itself subscribes only while
+an engaged run is on the stack.
 
 Known, deliberate gaps: replayed packets do not exist as objects, so
 per-packet hop records (``Packet.record``) are not produced for
 replayed datagrams — nothing in the result pipeline reads them for
-steady flows, and every mode that does (observability spans,
-invariants) disengages the fast path.  Within one replayed event, all
-trace emissions are applied before the live invokes; a cascade whose
-invokes themselves emit trace entries interleaved with note() calls
-would reorder within that single event (none of the registered
-transport boundaries do).
+steady flows, and every mode that does (span recorder, invariants)
+subscribes to the trace log and so disengages the fast path.  Within
+one replayed event, all trace emissions are applied before the live
+invokes; a cascade whose invokes themselves emit trace entries
+interleaved with note() calls would reorder within that single event
+(none of the registered transport boundaries do).
 """
 
 from __future__ import annotations
@@ -276,7 +280,6 @@ class FastForwarder:
         self._vheap: list = []
         self._saved: list = []
         self._orig_schedule = None
-        self._orig_note = None
         self._orig_link = None
         # True while _run_engaged is on the stack: observers (the
         # engine sampler) use it to tag readings taken mid-replay.
@@ -339,12 +342,10 @@ class FastForwarder:
             max_events: int = 1_000_000) -> float:
         sim = self._sim
         if (not self.enabled or until is None or not self._flows
-                or sim.obs is not None or sim.invariants is not None
-                or sim.flightrec is not None
+                or sim.trace.subscribers
                 or not self._segments_clean()):
-            # Flight recorders ride note(); replay appends entries
-            # directly, so an armed recorder would miss replayed
-            # cascades — stand aside, like for obs and invariants.
+            # Replay appends entries without calling note(), so any
+            # trace subscriber would miss replayed cascades.
             return sim.events.run(until=until, max_events=max_events)
         return self._run_engaged(until, max_events)
 
@@ -835,8 +836,7 @@ class FastForwarder:
         self._orig_schedule = queue.schedule
         save_and_set(queue, "schedule", self._schedule_wrap)
         trace = sim.trace
-        self._orig_note = trace.note
-        save_and_set(trace, "note", self._note_wrap)
+        trace.subscribe(self._capture_event)
         self._orig_link = trace.note_link_bytes
         save_and_set(trace, "note_link_bytes", self._link_wrap)
         for stack in self._stacks:
@@ -847,6 +847,7 @@ class FastForwarder:
             save_and_set(sock, "_deliver", self._make_invoke(sock._deliver))
 
     def _restore(self) -> None:
+        self._sim.trace.unsubscribe(self._capture_event)
         for obj, name, had, old in reversed(self._saved):
             if had:
                 obj.__dict__[name] = old
@@ -877,13 +878,12 @@ class FastForwarder:
         self._horizon = None
         return event
 
-    def _note_wrap(self, time, node, action, packet, detail=""):
+    def _capture_event(self, time, node, action, packet, detail=""):
         capture = self._cur
         if (capture is not None and capture.record and capture.alive
                 and not self._in_invoke):
             capture.steps[self._cur_idx].ops.append(
                 ("e", _emission_snapshot(packet, node, action, detail)))
-        self._orig_note(time, node, action, packet, detail)
 
     def _link_wrap(self, link_name, size):
         capture = self._cur

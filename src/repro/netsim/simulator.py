@@ -40,13 +40,15 @@ class Simulator:
     ):
         """``trace_entries=False`` drops per-event entries but keeps hop
         records and aggregate counters; additionally passing
-        ``trace_aggregates=False`` turns tracing into a true no-op for
-        maximum-throughput runs (see :class:`TraceLog`).
+        ``trace_aggregates=False`` makes the log record nothing for
+        maximum-throughput runs; trace subscribers still receive every
+        event (see :class:`TraceLog`).
 
         ``fast_forward`` enables the steady-flow replay engine (see
         :class:`~repro.netsim.fastforward.FastForwarder`); it changes
         wall-clock only, never observable behavior, and disengages
-        itself whenever observability or invariants are armed."""
+        itself whenever the trace log has a subscriber (span recorder,
+        invariant monitor, flight recorder)."""
         self.clock = SimClock()
         self.events = EventQueue(self.clock)
         self.trace = TraceLog(enabled=trace_entries, aggregates=trace_aggregates)
@@ -142,8 +144,8 @@ class Simulator:
     def enable_invariants(self, **kwargs) -> "InvariantMonitor":
         """Arm the runtime invariant monitor for this run.
 
-        Attaches an :class:`~repro.verify.invariants.InvariantMonitor`
-        to the trace stream (keyword arguments pass through to its
+        Subscribes an :class:`~repro.verify.invariants.InvariantMonitor`
+        to the trace log (keyword arguments pass through to its
         constructor).  Returns the monitor, also kept on
         ``self.invariants``; call ``monitor.finish()`` after the run
         for the end-of-run termination accounting.
@@ -160,12 +162,12 @@ class Simulator:
     def enable_flight_recorder(self, limit: Optional[int] = None) -> "FlightRecorder":
         """Arm the postmortem flight recorder for this run.
 
-        Attaches a :class:`~repro.obs.flightrec.FlightRecorder` ring
-        buffer to the trace stream (``limit`` entries; see that module
+        Subscribes a :class:`~repro.obs.flightrec.FlightRecorder` ring
+        buffer to the trace log (``limit`` entries; see that module
         for the digest-neutrality argument).  Returns the recorder,
-        also kept on ``self.flightrec``; the fast-forwarder stands
-        aside while one is armed so the ring never misses replayed
-        entries.
+        also kept on ``self.flightrec``; like every trace subscriber it
+        stands the fast-forwarder aside, so the ring never misses
+        replayed entries.
         """
         if self.flightrec is not None:
             raise RuntimeError(

@@ -11,17 +11,26 @@ per-packet hop list (see :class:`repro.netsim.packet.HopRecord`) holds
 the same information packet-locally.  The global log adds cross-packet
 queries: delivery ratios, per-destination drop summaries, and byte
 accounting per link.
+
+Observers that read the event stream live (span recorder, invariant
+monitor, flight recorder, fast-forward capture) subscribe to the log
+instead of wrapping ``note``: :meth:`TraceLog.note` records the event
+at the log's level and then calls each subscriber in subscription
+order.  :class:`TraceObserver` is their shared attach/detach base.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from .packet import Packet
 
-__all__ = ["TraceEntry", "TraceLog"]
+__all__ = ["TraceEntry", "TraceLog", "TraceObserver", "entry_json", "freeze_entry"]
+
+# A subscriber receives ``(time, node, action, packet, detail)``.
+Subscriber = Callable[[float, str, str, Packet, str], None]
 
 
 @dataclass(frozen=True)
@@ -39,19 +48,64 @@ class TraceEntry:
     detail: str = ""
 
 
+def freeze_entry(
+    time: float, node: str, action: str, packet: Packet, detail: str = ""
+) -> TraceEntry:
+    """The :class:`TraceEntry` for one event, frozen from the live packet.
+
+    Packets mutate in place (TTL decrements, encapsulation), so every
+    field is derived now, at ``note()`` time.
+    """
+    # Build the frozen entry via __new__ + __dict__: the dataclass
+    # __init__ routes every field through object.__setattr__, which
+    # dominates the tracing-enabled hot path.  Field values are
+    # identical to the constructor call this replaces.
+    entry = TraceEntry.__new__(TraceEntry)
+    entry.__dict__.update(
+        time=time,
+        node=node,
+        action=action,
+        packet_repr=repr(packet),
+        trace_id=packet.trace_id,
+        src=str(packet.src),
+        dst=str(packet.dst),
+        wire_size=packet.wire_size,
+        detail=detail,
+    )
+    return entry
+
+
+def entry_json(entry: TraceEntry) -> Dict[str, Any]:
+    """One entry as the JSON object :meth:`TraceLog.export_jsonl` writes."""
+    return {
+        "time": entry.time,
+        "node": entry.node,
+        "action": entry.action,
+        "trace_id": entry.trace_id,
+        "src": entry.src,
+        "dst": entry.dst,
+        "wire_size": entry.wire_size,
+        "detail": entry.detail,
+        "packet": entry.packet_repr,
+    }
+
+
 class TraceLog:
     """Global record of packet events for one simulation run.
 
     Three levels of tracing, cheapest first:
 
-    * ``TraceLog(enabled=False, aggregates=False)`` — a true no-op:
-      :meth:`note` is rebound to a do-nothing method, so large
-      throughput runs pay only one call per event (no hop records, no
-      counter updates, no entry construction).
+    * ``TraceLog(enabled=False, aggregates=False)`` — records nothing:
+      :meth:`note` skips hop records, counter updates and entry
+      construction behind one ``aggregates`` check, so large
+      throughput runs pay one call and one branch per event.
     * ``TraceLog(enabled=False)`` — keeps the per-packet hop records
       and the incremental aggregates (action counts, drop reasons)
       but skips per-event :class:`TraceEntry` construction.
     * ``TraceLog()`` — full tracing; every event becomes an entry.
+
+    On every level, :meth:`note` then hands the event to each of
+    :attr:`subscribers` in subscription order.
     """
 
     def __init__(self, enabled: bool = True, aggregates: bool = True):
@@ -73,13 +127,23 @@ class TraceLog:
         # ``drops_by_reason``, so congestion drops are queryable without
         # scanning entries.
         self.losses_by_reason: Counter = Counter()
-        if not self.aggregates:
-            # Rebinding on the instance makes the disabled path a plain
-            # no-op call — no flag checks on the hot path.
-            self.note = self._note_disabled  # type: ignore[method-assign]
-            self.note_link_bytes = (  # type: ignore[method-assign]
-                self._note_link_bytes_disabled
-            )
+        # Copy-on-write: subscribe/unsubscribe build a new tuple, so a
+        # subscriber that detaches mid fan-out cannot skip a neighbour.
+        self.subscribers: Tuple[Subscriber, ...] = ()
+
+    # ------------------------------------------------------------------
+    # Subscribers
+    # ------------------------------------------------------------------
+    def subscribe(self, subscriber: Subscriber) -> None:
+        """Call ``subscriber`` on every later event, after those
+        already subscribed."""
+        self.subscribers += (subscriber,)
+
+    def unsubscribe(self, subscriber: Subscriber) -> None:
+        """Stop calling ``subscriber``; raises ``ValueError`` if absent."""
+        subscribers = list(self.subscribers)
+        subscribers.remove(subscriber)
+        self.subscribers = tuple(subscribers)
 
     # ------------------------------------------------------------------
     # Recording
@@ -92,49 +156,25 @@ class TraceLog:
         packet: Packet,
         detail: str = "",
     ) -> None:
-        """Record an event both globally and on the packet itself."""
-        packet.record(time, node, action, detail)
-        self.action_counts[action] += 1
-        if action == "drop":
-            self.drops_by_reason[detail] += 1
-        elif action == "lost":
-            self.losses_by_reason[detail] += 1
-        if self.enabled:
-            entries = self.entries
-            self._entries_by_id[packet.trace_id].append(len(entries))
-            # Build the frozen entry via __new__ + __dict__: the dataclass
-            # __init__ routes every field through object.__setattr__, which
-            # dominates the tracing-enabled hot path.  Field values are
-            # identical to the constructor call this replaces.
-            entry = TraceEntry.__new__(TraceEntry)
-            entry.__dict__.update(
-                time=time,
-                node=node,
-                action=action,
-                packet_repr=repr(packet),
-                trace_id=packet.trace_id,
-                src=str(packet.src),
-                dst=str(packet.dst),
-                wire_size=packet.wire_size,
-                detail=detail,
-            )
-            entries.append(entry)
-
-    def _note_disabled(
-        self,
-        time: float,
-        node: str,
-        action: str,
-        packet: Packet,
-        detail: str = "",
-    ) -> None:
-        """No-op :meth:`note` used when tracing is fully off."""
+        """Record an event at this log's level, globally and on the
+        packet itself, then pass it to every subscriber in order."""
+        if self.aggregates:
+            packet.record(time, node, action, detail)
+            self.action_counts[action] += 1
+            if action == "drop":
+                self.drops_by_reason[detail] += 1
+            elif action == "lost":
+                self.losses_by_reason[detail] += 1
+            if self.enabled:
+                entries = self.entries
+                self._entries_by_id[packet.trace_id].append(len(entries))
+                entries.append(freeze_entry(time, node, action, packet, detail))
+        for subscriber in self.subscribers:
+            subscriber(time, node, action, packet, detail)
 
     def note_link_bytes(self, link_name: str, size: int) -> None:
-        self.bytes_by_link[link_name] += size
-
-    def _note_link_bytes_disabled(self, link_name: str, size: int) -> None:
-        """No-op byte accounting for the fully-disabled level."""
+        if self.aggregates:
+            self.bytes_by_link[link_name] += size
 
     # ------------------------------------------------------------------
     # Queries
@@ -217,17 +257,7 @@ class TraceLog:
         buffer: List[str] = []
         with open(path, "w") as handle:
             for entry in self.entries:
-                buffer.append(dumps({
-                    "time": entry.time,
-                    "node": entry.node,
-                    "action": entry.action,
-                    "trace_id": entry.trace_id,
-                    "src": entry.src,
-                    "dst": entry.dst,
-                    "wire_size": entry.wire_size,
-                    "detail": entry.detail,
-                    "packet": entry.packet_repr,
-                }))
+                buffer.append(dumps(entry_json(entry)))
                 if len(buffer) >= chunk_lines:
                     handle.write("\n".join(buffer) + "\n")
                     buffer.clear()
@@ -275,3 +305,29 @@ class TraceLog:
                 elif entry.action == "lost":
                     log.losses_by_reason[entry.detail] += 1
         return log
+
+
+class TraceObserver:
+    """Base for observers that read a :class:`TraceLog`'s events live.
+
+    :meth:`attach` subscribes the observer's :meth:`on_event` to one
+    log; attaching twice raises, and :meth:`detach` is idempotent.
+    """
+
+    _trace: Optional[TraceLog] = None
+
+    def attach(self, trace: TraceLog) -> None:
+        if self._trace is not None:
+            raise RuntimeError(f"{type(self).__name__} is already attached")
+        trace.subscribe(self.on_event)
+        self._trace = trace
+
+    def detach(self) -> None:
+        if self._trace is not None:
+            self._trace.unsubscribe(self.on_event)
+            self._trace = None
+
+    def on_event(
+        self, time: float, node: str, action: str, packet: Packet, detail: str = ""
+    ) -> None:
+        raise NotImplementedError

@@ -20,10 +20,12 @@ Three layers, each usable on its own:
 is **opt-in**: nothing here runs unless
 :meth:`~repro.netsim.simulator.Simulator.enable_observability` is
 called, and the disabled path is identical to the pre-observability
-simulator (the span recorder attaches by rebinding ``TraceLog.note``,
-the same trick the trace log's own no-op level uses).  The
-``obs_overhead`` workload in :mod:`repro.bench` keeps that promise
-honest.
+simulator (the span recorder attaches as a subscriber of the
+:class:`~repro.netsim.trace.TraceLog`; with none subscribed, ``note``
+fans out to an empty tuple).  A subscribed span recorder stands the
+fast-forwarder aside; the engine sampler alone (``spans=False``) keeps
+the fast path.  The ``obs_overhead`` workload in :mod:`repro.bench`
+keeps that promise honest.
 """
 
 from __future__ import annotations

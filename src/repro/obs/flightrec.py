@@ -4,27 +4,29 @@ When a sweep cell, chaos run, or fuzz case ends in an invariant
 violation, the full trace is usually gone (large runs disable entry
 recording) or buried (a 260-second chaos run produces tens of
 thousands of entries).  The :class:`FlightRecorder` keeps a bounded
-ring buffer of the most recent trace events — attached with the same
-instance-rebinding ``TraceLog.note`` wrap the span recorder and the
-invariant monitor use, so an unarmed run pays nothing at all — and,
-on request, dumps the ring plus a snapshot of live engine state
-(event-queue depth, clock, per-node reassembly backlog, mobility
-bindings, segment health) to a ``flightrec.json`` for postmortem.
+ring buffer of the most recent trace events — a
+:class:`~repro.netsim.trace.TraceObserver` subscribed to the trace log
+like the span recorder and the invariant monitor, so an unarmed run
+pays nothing at all — and, on request, dumps the ring plus a snapshot
+of live engine state (event-queue depth, clock, per-node reassembly
+backlog, mobility bindings, segment health) to a ``flightrec.json``
+for postmortem.
 
-Digest neutrality is by construction: the wrapper calls the original
-``note`` with unmodified arguments and only *reads* packet state, so
+Digest neutrality is by construction: the log records each event before
+calling its subscribers, and the recorder only *reads* packet state, so
 the trace stream, RNG, and event order are untouched.  The one
 behavioral interaction is with the fast-forwarder: replayed cascades
 append entries directly to ``TraceLog.entries`` without calling
-``note()``, so the ring would silently miss them — the forwarder
-therefore stands aside (plain execution) whenever a recorder is
-armed, exactly as it does for observability and invariants.  The
-replayed-vs-real trace is byte-identical either way, so arming the
-recorder still never changes a digest.
+``note()``, so no subscriber would see them — the forwarder therefore
+stands aside (plain execution) whenever the trace log has any
+subscriber.  The replayed-vs-real trace is byte-identical either way,
+so arming the recorder still never changes a digest.
 
 Entry snapshots are eager (packets mutate in place — TTL decrements,
-encapsulation), which makes the armed cost comparable to entry-level
-tracing; the ``ledger_overhead`` bench workload records it honestly.
+encapsulation): the ring holds the same frozen
+:class:`~repro.netsim.trace.TraceEntry` the log itself would build,
+which makes the armed cost comparable to entry-level tracing; the
+``ledger_overhead`` bench workload records it honestly.
 """
 
 from __future__ import annotations
@@ -34,9 +36,11 @@ import os
 from collections import deque
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
+from ..netsim.trace import TraceObserver, entry_json, freeze_entry
+
 if TYPE_CHECKING:  # pragma: no cover
+    from ..netsim.packet import Packet
     from ..netsim.simulator import Simulator
-    from ..netsim.trace import TraceLog
 
 __all__ = ["FlightRecorder", "DEFAULT_FLIGHT_LIMIT", "FLIGHTREC_SCHEMA"]
 
@@ -44,7 +48,7 @@ FLIGHTREC_SCHEMA = "repro-mobility-flightrec/v1"
 DEFAULT_FLIGHT_LIMIT = 256
 
 
-class FlightRecorder:
+class FlightRecorder(TraceObserver):
     """Bounded ring of recent trace events, dumpable with engine state."""
 
     def __init__(self, sim: "Simulator", limit: int = DEFAULT_FLIGHT_LIMIT):
@@ -55,58 +59,20 @@ class FlightRecorder:
         self.ring: deque = deque(maxlen=limit)
         self.recorded = 0
         self.dumps = 0
-        self._trace: Optional["TraceLog"] = None
-        self._wrapped_note = None
-        self._note_was_instance = False
 
-    # ------------------------------------------------------------------
-    # Attachment (same instance-rebinding wrap as obs.spans / invariants)
-    # ------------------------------------------------------------------
-    def attach(self, trace: "TraceLog") -> None:
-        if self._trace is not None:
-            raise RuntimeError("flight recorder is already attached")
-        self._trace = trace
-        self._note_was_instance = "note" in trace.__dict__
-        original = trace.note
-        self._wrapped_note = original
-        ring = self.ring
-
-        def note_with_flightrec(time, node, action, packet, detail=""):
-            original(time, node, action, packet, detail)
-            # Eager snapshot: packets mutate in place, so every field
-            # is frozen at note() time (same rule as TraceLog itself).
-            ring.append((
-                time, node, action, packet.trace_id, str(packet.src),
-                str(packet.dst), packet.wire_size, detail, repr(packet),
-            ))
-            self.recorded += 1
-
-        trace.note = note_with_flightrec  # type: ignore[method-assign]
-
-    def detach(self) -> None:
-        if self._trace is None:
-            return
-        if self._note_was_instance:
-            self._trace.note = self._wrapped_note  # type: ignore[method-assign]
-        else:
-            del self._trace.note  # fall back to the class method
-        self._trace = None
-        self._wrapped_note = None
+    def on_event(
+        self, time: float, node: str, action: str, packet: "Packet",
+        detail: str = "",
+    ) -> None:
+        self.ring.append(freeze_entry(time, node, action, packet, detail))
+        self.recorded += 1
 
     # ------------------------------------------------------------------
     # Snapshots
     # ------------------------------------------------------------------
     def entries(self) -> List[Dict[str, Any]]:
         """The ring's contents, oldest first, as JSON-clean dicts."""
-        return [
-            {
-                "time": time, "node": node, "action": action,
-                "trace_id": trace_id, "src": src, "dst": dst,
-                "wire_size": wire_size, "detail": detail, "packet": packet,
-            }
-            for (time, node, action, trace_id, src, dst,
-                 wire_size, detail, packet) in self.ring
-        ]
+        return [entry_json(entry) for entry in self.ring]
 
     def engine_state(self) -> Dict[str, Any]:
         """Live engine internals at dump time (queue, nodes, segments)."""

@@ -16,10 +16,11 @@ Parent/child links therefore mirror the encapsulation stack, which is
 exactly the structure the paper's byte-overhead arguments (§3.3) are
 about: the cost of a mode is the extra spans its packets travel inside.
 
-The recorder attaches by wrapping :meth:`TraceLog.note` — the same
-instance-rebinding trick the trace log itself uses for its disabled
-level — so a simulator with spans off pays nothing, not even a flag
-check.
+The recorder is a :class:`~repro.netsim.trace.TraceObserver`: it
+attaches by subscribing to the
+:class:`~repro.netsim.trace.TraceLog`, which calls it after
+recording each event, in subscription order with any other observers.
+A simulator with spans off has no subscriber and pays nothing for it.
 
 Spans export as Chrome ``trace_event`` JSON (load the file at
 ``chrome://tracing`` or https://ui.perfetto.dev) and summarize into
@@ -33,7 +34,7 @@ import json
 from typing import Any, Dict, List, Optional
 
 from ..netsim.packet import IPProto, Packet
-from ..netsim.trace import TraceLog
+from ..netsim.trace import TraceObserver
 from .metrics import LATENCY_BUCKETS, SIZE_BUCKETS, Histogram
 
 __all__ = ["Span", "SpanRecorder"]
@@ -76,7 +77,7 @@ class Span:
                 f"[{self.start}..{self.end}])")
 
 
-class SpanRecorder:
+class SpanRecorder(TraceObserver):
     """Builds span trees from the trace-event stream of one run."""
 
     def __init__(self) -> None:
@@ -84,45 +85,6 @@ class SpanRecorder:
         self.spans: List[Span] = []
         self._stacks: Dict[int, List[Span]] = {}
         self._finished: set = set()
-        self._trace: Optional[TraceLog] = None
-        self._wrapped_note = None
-        self._note_was_instance = False
-
-    # ------------------------------------------------------------------
-    # Attachment
-    # ------------------------------------------------------------------
-    def attach(self, trace: TraceLog) -> None:
-        """Wrap ``trace.note`` so every event also feeds the recorder.
-
-        Composes with every :class:`TraceLog` level, including the
-        fully-disabled one (whose no-op ``note`` is simply called and
-        does nothing before the recorder sees the event).
-        """
-        if self._trace is not None:
-            raise RuntimeError("span recorder is already attached")
-        self._trace = trace
-        # The disabled trace level stores its no-op note in the instance
-        # dict; remember which case we wrapped so detach can restore it.
-        self._note_was_instance = "note" in trace.__dict__
-        original = trace.note
-        self._wrapped_note = original
-        on_event = self.on_event
-
-        def note_with_spans(time, node, action, packet, detail=""):
-            original(time, node, action, packet, detail)
-            on_event(time, node, action, packet, detail)
-
-        trace.note = note_with_spans  # type: ignore[method-assign]
-
-    def detach(self) -> None:
-        if self._trace is None:
-            return
-        if self._note_was_instance:
-            self._trace.note = self._wrapped_note  # type: ignore[method-assign]
-        else:
-            del self._trace.note  # fall back to the class method
-        self._trace = None
-        self._wrapped_note = None
 
     # ------------------------------------------------------------------
     # Event intake

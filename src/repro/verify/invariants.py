@@ -2,10 +2,10 @@
 
 The simulator's :class:`~repro.netsim.trace.TraceLog` already sees
 every packet event in a run.  The :class:`InvariantMonitor` rides that
-stream — attaching with the same instance-rebinding wrap the span
-recorder uses, so a run without it pays nothing — and checks a set of
-properties that must hold in *any* correct execution, whatever the
-topology, traffic mix, fault schedule, or adversary:
+stream — a :class:`~repro.netsim.trace.TraceObserver` subscribed to the
+log like the span recorder, so a run without it pays nothing — and
+checks a set of properties that must hold in *any* correct execution,
+whatever the topology, traffic mix, fault schedule, or adversary:
 
 ``no-loop``
     A datagram never revisits a forwarding node within one delivery
@@ -57,7 +57,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from ..mobileip.binding import BindingTable
 from ..netsim.fragmentation import ReassemblyBuffer, fragment
 from ..netsim.packet import IPProto, Packet
-from ..netsim.trace import TraceLog
+from ..netsim.trace import TraceObserver
 
 __all__ = ["Violation", "InvariantMonitor", "INVARIANTS"]
 
@@ -170,7 +170,7 @@ class _TraceState:
     ttl: Dict[Tuple[int, int], int] = field(default_factory=dict)
 
 
-class InvariantMonitor:
+class InvariantMonitor(TraceObserver):
     """Checks run-wide invariants against the live trace stream."""
 
     def __init__(
@@ -189,9 +189,6 @@ class InvariantMonitor:
         self.violation_count = 0
         self.checks: Dict[str, int] = {name: 0 for name in INVARIANTS}
         self._states: Dict[int, _TraceState] = {}
-        self._trace: Optional[TraceLog] = None
-        self._wrapped_note = None
-        self._note_was_instance = False
         self._finished = False
         if simulator is not None:
             metrics = simulator.metrics
@@ -201,34 +198,6 @@ class InvariantMonitor:
                 "invariant.checks", read=lambda: sum(self.checks.values()))
             metrics.family(
                 "invariant.checks_by_name", lambda: dict(self.checks))
-
-    # ------------------------------------------------------------------
-    # Attachment (same instance-rebinding wrap as obs.spans)
-    # ------------------------------------------------------------------
-    def attach(self, trace: TraceLog) -> None:
-        if self._trace is not None:
-            raise RuntimeError("invariant monitor is already attached")
-        self._trace = trace
-        self._note_was_instance = "note" in trace.__dict__
-        original = trace.note
-        self._wrapped_note = original
-        on_event = self.on_event
-
-        def note_with_invariants(time, node, action, packet, detail=""):
-            original(time, node, action, packet, detail)
-            on_event(time, node, action, packet, detail)
-
-        trace.note = note_with_invariants  # type: ignore[method-assign]
-
-    def detach(self) -> None:
-        if self._trace is None:
-            return
-        if self._note_was_instance:
-            self._trace.note = self._wrapped_note  # type: ignore[method-assign]
-        else:
-            del self._trace.note  # fall back to the class method
-        self._trace = None
-        self._wrapped_note = None
 
     # ------------------------------------------------------------------
     # Event intake

@@ -1,5 +1,6 @@
 """Tests for the violation flight recorder (:mod:`repro.obs.flightrec`)."""
 
+import dataclasses
 import json
 
 import pytest
@@ -32,6 +33,32 @@ class _FakePacket:
         return f"<fake {self.trace_id}>"
 
 
+# How each stand-aside case arms its observer (spec fields, plus a
+# call on the built simulator), and whether fast-forward still engages.
+ARMINGS = {
+    "spans": ({"observe": True}, None, False),
+    "monitor": ({"arm_invariants": True}, None, False),
+    "flight": ({}, None, False),
+    "adhoc": ({}, lambda sim: sim.trace.subscribe(lambda *event: None), False),
+    "sampler": ({}, lambda sim: sim.enable_observability(spans=False), True),
+}
+
+
+def _run_armed(tmp_path, armed, fast_forward):
+    fields, arm, _engages = ARMINGS[armed]
+    spec = dataclasses.replace(
+        canonical_traffic_spec(datagrams=20), fast_forward=fast_forward,
+        **fields)
+    flightrec_path = (str(tmp_path / f"fr-{fast_forward}.json")
+                      if armed == "flight" else None)
+
+    def driver(scenario, _spec):
+        if arm is not None:
+            arm(scenario.sim)
+
+    return Runner(flightrec_path=flightrec_path).run(spec, driver=driver)
+
+
 class TestRing:
     def test_ring_is_bounded_and_keeps_the_tail(self, sim):
         recorder = FlightRecorder(sim, limit=4)
@@ -62,36 +89,6 @@ class TestRing:
 
 
 class TestAttachment:
-    def test_attach_detach_restores_class_method(self, sim):
-        trace = sim.trace
-        assert "note" not in trace.__dict__
-        recorder = FlightRecorder(sim, limit=4)
-        recorder.attach(trace)
-        assert "note" in trace.__dict__
-        recorder.detach()
-        assert "note" not in trace.__dict__
-
-    def test_attach_composes_with_an_existing_instance_wrap(self, sim):
-        # Another observer (invariants, spans) may already have rebound
-        # note on the instance; detach must restore *that*, not the
-        # class method.
-        trace = sim.trace
-        seen = []
-        original = trace.note
-
-        def outer(time, node, action, packet, detail=""):
-            seen.append(action)
-            original(time, node, action, packet, detail)
-
-        trace.note = outer
-        recorder = FlightRecorder(sim, limit=4)
-        recorder.attach(trace)
-        trace.note(1.0, "n", "send", _FakePacket(1))
-        assert seen == ["send"]
-        assert recorder.recorded == 1
-        recorder.detach()
-        assert trace.__dict__["note"] is outer
-
     def test_double_attach_and_double_enable_raise(self, sim):
         recorder = sim.enable_flight_recorder(limit=4)
         with pytest.raises(RuntimeError):
@@ -166,12 +163,20 @@ class TestRunnerIntegration:
         assert info["recorded"] > 0
         assert not path.exists()
 
-    def test_fast_forwarder_stands_aside_when_armed(self, tmp_path):
+    @pytest.mark.parametrize("armed", list(ARMINGS))
+    def test_fast_forwarder_stands_aside_when_armed(self, tmp_path, armed):
+        # One rule: any trace subscriber stands the forwarder aside;
+        # the engine sampler alone subscribes nothing and keeps it.
+        on = _run_armed(tmp_path, armed, fast_forward=True)
+        off = _run_armed(tmp_path, armed, fast_forward=False)
+        engaged = on.extras["fast_forward"]["engaged_runs"]
+        assert engaged >= 1 if ARMINGS[armed][2] else engaged == 0
+        assert on.digest == off.digest
+
+    def test_ring_sees_the_live_stream(self, tmp_path):
         runner = Runner(flightrec_path=str(tmp_path / "fr.json"))
         result = runner.run(canonical_traffic_spec(datagrams=20))
-        assert result.extras["fast_forward"]["engaged_runs"] == 0
-        # The ring saw the live stream (replay would bypass note());
-        # build-phase registration entries predate the attach, so the
+        # Build-phase registration entries predate the attach, so the
         # count is bounded by, not equal to, the trace total.
         recorder = runner.scenario.sim.flightrec
         assert 0 < recorder.recorded <= result.trace_entries

@@ -117,26 +117,6 @@ class TestSpanRecorder:
         with pytest.raises(RuntimeError):
             sim.enable_observability()
 
-    def test_detach_restores_note(self):
-        sim = Simulator(seed=1)
-        original = sim.trace.note
-        obs = sim.enable_observability(engine_cadence=None)
-        assert sim.trace.note != original
-        obs.disable()
-        assert sim.trace.note == original
-        assert "note" not in sim.trace.__dict__
-
-    def test_detach_restores_disabled_note(self):
-        from repro.netsim.trace import TraceLog
-        from repro.obs import SpanRecorder
-
-        trace = TraceLog(enabled=False, aggregates=False)
-        disabled = trace.note
-        recorder = SpanRecorder()
-        recorder.attach(trace)
-        recorder.detach()
-        assert trace.note == disabled
-
 
 class TestGoldenTraceUnperturbed:
     def test_spans_do_not_change_the_trace(self):

@@ -41,18 +41,6 @@ def run_udp_conversation(scenario, count=5):
 
 
 class TestAttachment:
-    def test_attach_wraps_and_detach_restores_note(self):
-        trace = TraceLog()
-        monitor = InvariantMonitor()
-        monitor.attach(trace)
-        assert "note" in trace.__dict__          # instance-level wrap
-        trace.note(0.0, "n", "send", make_packet())
-        assert len(trace.entries) == 1           # original still records
-        monitor.detach()
-        assert "note" not in trace.__dict__      # class method again
-        trace.note(1.0, "n", "deliver", make_packet())
-        assert len(trace.entries) == 2
-
     def test_double_attach_refused(self):
         trace = TraceLog()
         monitor = InvariantMonitor()
