@@ -38,6 +38,8 @@ __all__ = [
     "run_scenario_build",
     "run_scenario_traffic",
     "run_scenario_traffic_no_ff",
+    "run_scenario_traffic_indexed",
+    "run_scenario_traffic_indexed_no_ff",
     "run_fast_forward",
     "run_obs_overhead",
     "run_chaos_recovery",
@@ -157,6 +159,43 @@ def run_scenario_traffic_no_ff(
     runner.run(spec)
     assert runner.scenario is not None
     assert runner.scenario.ha.packets_tunneled == datagrams
+    return datagrams, "packets"
+
+
+def _run_indexed_traffic(datagrams: int, seed: int, fast_forward: bool):
+    from repro.experiment import Runner, canonical_traffic_spec
+
+    spec = canonical_traffic_spec(seed=seed, datagrams=datagrams,
+                                  fast_forward=fast_forward)
+    program = spec.traffic.to_dict()
+    program["payload_style"] = "indexed"
+    program["uniform"]["direction"] = "both"
+    return Runner().run(spec.replace(traffic=program))
+
+
+def run_scenario_traffic_indexed(
+    datagrams: int = 200, seed: int = 1401
+) -> Tuple[int, str]:
+    """The canonical stage with indexed payloads in both directions.
+
+    Every payload differs and every MH-originated send is a world change
+    for the fast-forwarder, so no cascade ever pairs: this is the case
+    the per-flow capture backoff bounds.  The assert pins that the
+    backoff engaged; ``scenario_traffic_indexed_no_ff`` is its control,
+    so the on/off ratio in ``fast_forward_deltas`` is what fast-forward
+    costs when it cannot replay.
+    """
+    ff = _run_indexed_traffic(datagrams, seed, True).extras["fast_forward"]
+    assert ff["backed_off"] > 0, "capture backoff never engaged"
+    return datagrams, "packets"
+
+
+def run_scenario_traffic_indexed_no_ff(
+    datagrams: int = 200, seed: int = 1401
+) -> Tuple[int, str]:
+    """``scenario_traffic_indexed`` with flow fast-forwarding disabled."""
+    result = _run_indexed_traffic(datagrams, seed, False)
+    assert "fast_forward" not in result.extras
     return datagrams, "packets"
 
 
@@ -424,6 +463,8 @@ WORKLOADS: Dict[str, Callable[..., Tuple[int, str]]] = {
     "scenario_build": run_scenario_build,
     "scenario_traffic": run_scenario_traffic,
     "scenario_traffic_no_ff": run_scenario_traffic_no_ff,
+    "scenario_traffic_indexed": run_scenario_traffic_indexed,
+    "scenario_traffic_indexed_no_ff": run_scenario_traffic_indexed_no_ff,
     "fast_forward": run_fast_forward,
     "obs_overhead": run_obs_overhead,
     "ledger_overhead": run_ledger_overhead,
@@ -440,6 +481,7 @@ WORKLOADS: Dict[str, Callable[..., Tuple[int, str]]] = {
 # Fast-forward on/off pairs the report derives speedup deltas from.
 FF_DELTA_PAIRS: Dict[str, str] = {
     "scenario_traffic": "scenario_traffic_no_ff",
+    "scenario_traffic_indexed": "scenario_traffic_indexed_no_ff",
     "chaos_recovery": "chaos_recovery_no_ff",
 }
 
@@ -449,6 +491,8 @@ _QUICK_ARGS: Dict[str, Dict[str, int]] = {
     "event_cancel_churn": {"n": 4_000},
     "scenario_traffic": {"datagrams": 50},
     "scenario_traffic_no_ff": {"datagrams": 50},
+    "scenario_traffic_indexed": {"datagrams": 50},
+    "scenario_traffic_indexed_no_ff": {"datagrams": 50},
     "fast_forward": {"datagrams": 50},
     "obs_overhead": {"datagrams": 50},
     "ledger_overhead": {"datagrams": 50},

@@ -37,6 +37,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
+from ..netsim.fastforward import FF_STAT_KEYS
 from ..obs.ledger import (
     RunLedger,
     run_record,
@@ -657,10 +658,7 @@ class SweepExecutor:
 
 def aggregate_fast_forward(results: Sequence[RunResult]) -> Dict[str, int]:
     """Sum per-run fast-forward stats across a sweep's results."""
-    totals = {
-        "engaged_runs": 0, "replayed": 0, "captured": 0,
-        "fallbacks": 0, "world_changes": 0,
-    }
+    totals = {key: 0 for key in FF_STAT_KEYS}
     for result in results:
         stats = result.extras.get("fast_forward") or {}
         for key in totals:

@@ -13,17 +13,25 @@ Simulator` run.  Mechanics:
 
 * **Capture.**  The first dispatch of each flow always runs real and
   uninstrumented (ARP warm-up differs from the steady shape anyway).
-  The next two run under instrumentation: every ``schedule`` call
-  becomes a child *step* (exact delay, label, callback identity), every
-  trace event (through a ``TraceLog`` subscription) and every
-  ``note_link_bytes`` call is snapshotted eagerly (packets
-  mutate in place), every transport boundary crossing (source
-  selection, send/receive reports, socket delivery) is recorded as a
-  live *invoke*, and every counter cell (node/segment/tunnel/agent
-  counters, filter hit dicts) is diffed around each step.  Dispatches
+  Later ones run under instrumentation, within the backoff below,
+  until the flow pairs: every ``schedule`` call becomes a child *step*
+  (exact delay, label, callback identity), every trace event (through
+  a ``TraceLog`` subscription) and every ``note_link_bytes`` call is
+  snapshotted eagerly (packets mutate in place), every transport
+  boundary crossing (source selection, send/receive reports, socket
+  delivery) is recorded as a live *invoke*, and every counter cell
+  (node/segment/tunnel/agent counters, filter hit dicts) is diffed
+  around each step.  Dispatches
   that are neither captured nor replayed run *benign*: real execution
   whose scheduled children are exempt from the horizon scan, so warming
   up never poisons the world.
+* **Capture backoff.**  A flow's first two captures are free; after
+  the k-th capture past them, the flow runs 2**k dispatches benign
+  (``backed_off``) before capturing again, so a flow that never pairs
+  (indexed payloads) pays O(log n) captures, not one per dispatch.
+  Only forming a template resets the backoff.  ``_world_changed`` does
+  not: every dispatch from a mobile host is a world change, so in a
+  two-way conversation a reset there would never let the budget bite.
 * **Verification.**  A template forms only from two captures of the
   same flow that are bit-identical: same step tree with exactly equal
   float delays, same emissions (including packet reprs), same invokes,
@@ -57,8 +65,8 @@ the trace log has any subscriber (span recorder, invariant monitor,
 flight recorder, or anything else reading events live: replay appends
 entries without calling ``note()``, so a subscriber would miss them),
 when no flows are registered, when a run has no deadline, or when any
-segment is lossy or down.  The capture itself subscribes only while
-an engaged run is on the stack.
+segment is lossy or down.  The capture itself subscribes (and hooks
+link bytes and transport boundaries) only while a capture is recording.
 
 Known, deliberate gaps: replayed packets do not exist as objects, so
 per-packet hop records (``Packet.record``) are not produced for
@@ -86,7 +94,12 @@ if TYPE_CHECKING:  # pragma: no cover
     from .node import Node
     from .simulator import Simulator
 
-__all__ = ["FastForwarder"]
+__all__ = ["FF_STAT_KEYS", "FastForwarder"]
+
+# The counters :meth:`FastForwarder.stats` reports besides ``enabled``;
+# everything that sums or prints them across runs iterates this tuple.
+FF_STAT_KEYS = ("engaged_runs", "replayed", "captured", "fallbacks",
+                "world_changes", "backed_off")
 
 # Slack added to a cascade's span when checking it against the horizon.
 # Replayed times are bit-exact (same float chain as real execution), so
@@ -262,7 +275,9 @@ class FastForwarder:
         self._templates: Dict[tuple, _Template] = {}
         self._pending: Dict[tuple, _Capture] = {}
         self._open: Set[_Capture] = set()
-        # per-flow warm-up state: [dispatch index, open capture count]
+        # per-flow warm-up state: [dispatch index, open capture count,
+        # captures since the flow last formed a template, first dispatch
+        # index the capture backoff allows to capture again]
         self._key_state: Dict[tuple, list] = {}
         self._benign = _Capture(None, None, None)
         self._benign.record = False
@@ -279,17 +294,23 @@ class FastForwarder:
         self._until = 0.0
         self._vheap: list = []
         self._saved: list = []
+        # Hooks that only a recording capture reads; armed while _open
+        # is non-empty (see _arm_recording).
+        self._recording_hooks: list = []
+        self._recording_saved: list = []
+        self._recording = False
         self._orig_schedule = None
         self._orig_link = None
         # True while _run_engaged is on the stack: observers (the
         # engine sampler) use it to tag readings taken mid-replay.
         self.active = False
-        # stats
-        self.engaged = 0
+        # stats (see FF_STAT_KEYS)
+        self.engaged_runs = 0
         self.replayed = 0
         self.captured = 0
         self.fallbacks = 0
         self.world_changes = 0
+        self.backed_off = 0
 
     # ------------------------------------------------------------------
     # Registration (called by the experiment runner before sim.run)
@@ -311,14 +332,10 @@ class FastForwarder:
         self._exempt.add(event.seq)
 
     def stats(self) -> Dict[str, Any]:
-        return {
-            "enabled": self.enabled,
-            "engaged_runs": self.engaged,
-            "replayed": self.replayed,
-            "captured": self.captured,
-            "fallbacks": self.fallbacks,
-            "world_changes": self.world_changes,
-        }
+        stats: Dict[str, Any] = {"enabled": self.enabled}
+        for key in FF_STAT_KEYS:
+            stats[key] = getattr(self, key)
+        return stats
 
     def register_metrics(self, registry: Any) -> None:
         """Expose the counters as a ``fast_forward`` metrics family.
@@ -377,7 +394,8 @@ class FastForwarder:
         return horizon
 
     def _world_changed(self) -> None:
-        """An event outside the verified flows ran: drop everything."""
+        """An event outside the verified flows ran: drop everything but
+        the per-flow capture backoff (see the module docstring)."""
         self.world_changes += 1
         if self._templates:
             self._flush()
@@ -387,6 +405,7 @@ class FastForwarder:
             if capture.state is not None:
                 capture.state[1] -= 1
         self._open.clear()
+        self._disarm_recording()
         self._pending.clear()
         self._horizon = None
         self._suspect = True
@@ -408,7 +427,7 @@ class FastForwarder:
         self._templates.clear()
         self._pending.clear()
         self._key_state.clear()
-        self.engaged += 1
+        self.engaged_runs += 1
         trace = sim.trace
         entries = trace.entries
         byid = trace._entries_by_id
@@ -420,6 +439,7 @@ class FastForwarder:
         exempt = self._exempt
         templates = self._templates
         key_state = self._key_state
+        benign = self._benign
         processed = 0
         live_popped = 0
         self._install()
@@ -435,6 +455,7 @@ class FastForwarder:
                     if candidate[2].cancelled:
                         pop(heap)
                         queue._cancelled -= 1
+                        exempt.discard(candidate[1])
                     else:
                         rhead = candidate
                         break
@@ -500,6 +521,10 @@ class FastForwarder:
                         f"time went backwards: {time} < {clock._now}")
                 clock._now = time
                 event.done = True
+                # Seqs are never reused: forget an exempt one once popped.
+                own = seq in exempt
+                if own:
+                    exempt.remove(seq)
                 meta = flows.get(seq)
                 if meta is not None:
                     key, node, dst = meta
@@ -553,7 +578,7 @@ class FastForwarder:
                         else:
                             state = key_state.get(key)
                             if state is None:
-                                state = key_state[key] = [0, 0]
+                                state = key_state[key] = [0, 0, 0, 0]
                             idx = state[0]
                             state[0] = idx + 1
                             if idx == 0:
@@ -564,20 +589,33 @@ class FastForwarder:
                                 do_capture = state[1] == 0
                             else:
                                 do_capture = state[1] < 2
+                            if do_capture and idx < state[3]:
+                                do_capture = False
+                                self.backed_off += 1
                             if do_capture:
                                 self.captured += 1
+                                tries = state[2] = state[2] + 1
+                                if tries > 2:
+                                    # Capture backoff: the k-th capture
+                                    # past the first pair is followed by
+                                    # 2**k benign dispatches (undone if
+                                    # it forms a template).
+                                    state[3] = idx + 1 + (1 << (tries - 2))
                                 self._capture_dispatch(
                                     key, signature, event, state, idx)
                             else:
                                 self._benign_exec(event)
                             self._horizon = None
-                elif seq in exempt:
-                    event.action(*event.args)  # our own capture child
-                elif getattr(event.action, "ff_transparent", False):
-                    # Read-only observers (the engine sampler tick):
-                    # run benign — real execution, children exempt —
-                    # instead of dropping every template on each tick.
-                    self._benign_exec(event)
+                elif own or getattr(event.action, "ff_transparent", False):
+                    # Our own capture/benign children, and read-only
+                    # observers (the engine sampler tick): run benign —
+                    # real execution, children exempt — instead of
+                    # dropping every template.  Inlined _benign_exec.
+                    self._cur = benign
+                    try:
+                        event.action(*event.args)
+                    finally:
+                        self._cur = None
                 else:
                     self._world_changed()
                     event.action(*event.args)
@@ -597,14 +635,6 @@ class FastForwarder:
         self._cur = self._benign
         try:
             event.action(*event.args)
-        finally:
-            self._cur = prev
-
-    def _run_benign(self, action, args) -> None:
-        prev = self._cur
-        self._cur = self._benign
-        try:
-            action(*args)
         finally:
             self._cur = prev
 
@@ -649,6 +679,8 @@ class FastForwarder:
         # never re-creates the dispatch event, so it must not be compared.
         capture.steps.append(_Step(-1, 0.0, "", None))
         capture.outstanding = 1
+        if not self._open:
+            self._arm_recording()
         self._open.add(capture)
         self._exec_step(capture, 0, event.action, event.args)
 
@@ -685,12 +717,17 @@ class FastForwarder:
 
     def _run_child(self, capture: _Capture, idx: int, action, args) -> None:
         if not capture.alive:
+            # A killed cascade finishes in the benign context the main
+            # loop runs exempt events in, so its grandchildren stay
+            # exempt instead of each firing as a further world change.
             action(*args)
             return
         self._exec_step(capture, idx, action, args)
 
     def _finalize(self, capture: _Capture) -> None:
         self._open.discard(capture)
+        if not self._open:
+            self._disarm_recording()
         capture.state[1] -= 1
         # The cascade may have moved rate-limit boundaries (advisory
         # gates, cache refreshes): recompute lazily.
@@ -707,6 +744,8 @@ class FastForwarder:
             return
         if previous is not None and self._paired(previous, capture):
             self._templates[key] = self._build_template(capture)
+            # The flow paired: lift its capture backoff.
+            capture.state[2] = capture.state[3] = 0
 
     @staticmethod
     def _cascade_trace_id(capture: _Capture) -> Optional[int]:
@@ -825,35 +864,59 @@ class FastForwarder:
     # ------------------------------------------------------------------
     def _install(self) -> None:
         sim = self._sim
-        saved = self._saved
-
-        def save_and_set(obj, name, replacement):
-            d = obj.__dict__
-            saved.append((obj, name, name in d, d.get(name)))
-            setattr(obj, name, replacement)
-
         queue = sim.events
         self._orig_schedule = queue.schedule
-        save_and_set(queue, "schedule", self._schedule_wrap)
+        self._patch(self._saved, queue, "schedule", self._schedule_wrap)
         trace = sim.trace
-        trace.subscribe(self._capture_event)
         self._orig_link = trace.note_link_bytes
-        save_and_set(trace, "note_link_bytes", self._link_wrap)
+        hooks = [(trace, "note_link_bytes", self._link_wrap)]
         for stack in self._stacks:
             for name in ("_select_source", "report_send", "report_receive"):
-                save_and_set(stack, name,
-                             self._make_invoke(getattr(stack, name)))
+                hooks.append(
+                    (stack, name, self._make_invoke(getattr(stack, name))))
         for sock in self._sockets:
-            save_and_set(sock, "_deliver", self._make_invoke(sock._deliver))
+            hooks.append((sock, "_deliver", self._make_invoke(sock._deliver)))
+        self._recording_hooks = hooks
+        if self._open:
+            self._arm_recording()
 
     def _restore(self) -> None:
+        self._disarm_recording()
+        self._unpatch(self._saved)
+
+    def _arm_recording(self) -> None:
+        """Hook trace events, link bytes and transport boundaries.
+
+        Only a recording capture reads them, so they are installed while
+        one is open: benign and backed-off dispatches then run without
+        the per-call wrapper cost.
+        """
+        self._recording = True
+        self._sim.trace.subscribe(self._capture_event)
+        for obj, name, replacement in self._recording_hooks:
+            self._patch(self._recording_saved, obj, name, replacement)
+
+    def _disarm_recording(self) -> None:
+        if not self._recording:
+            return
+        self._recording = False
         self._sim.trace.unsubscribe(self._capture_event)
-        for obj, name, had, old in reversed(self._saved):
+        self._unpatch(self._recording_saved)
+
+    @staticmethod
+    def _patch(saved: list, obj, name: str, replacement) -> None:
+        d = obj.__dict__
+        saved.append((obj, name, name in d, d.get(name)))
+        setattr(obj, name, replacement)
+
+    @staticmethod
+    def _unpatch(saved: list) -> None:
+        for obj, name, had, old in reversed(saved):
             if had:
                 obj.__dict__[name] = old
             else:
                 del obj.__dict__[name]
-        self._saved = []
+        saved.clear()
 
     def _schedule_wrap(self, delay, action, *args, label=""):
         capture = self._cur
@@ -870,8 +933,7 @@ class FastForwarder:
                     label=label)
                 self._exempt.add(event.seq)
                 return event
-            event = self._orig_schedule(
-                delay, self._run_benign, action, args, label=label)
+            event = self._orig_schedule(delay, action, *args, label=label)
             self._exempt.add(event.seq)
             return event
         event = self._orig_schedule(delay, action, *args, label=label)

@@ -37,6 +37,8 @@ import os
 import time as _time
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..netsim.fastforward import FF_STAT_KEYS
+
 __all__ = [
     "LEDGER_SCHEMA",
     "RunLedger",
@@ -344,10 +346,7 @@ def summarize_ledger(records: List[Dict[str, Any]]) -> Dict[str, Any]:
     slowest = sorted(
         (r for r in runs if (r.get("timings") or {}).get("total")),
         key=lambda r: r["timings"]["total"], reverse=True)[:5]
-    ff_totals = {
-        "engaged_runs": 0, "replayed": 0, "captured": 0,
-        "fallbacks": 0, "world_changes": 0,
-    }
+    ff_totals = {key: 0 for key in FF_STAT_KEYS}
     for record in runs:
         stats = record.get("fast_forward") or {}
         for key in ff_totals:
@@ -483,8 +482,8 @@ def render_ledger_markdown(summary: Dict[str, Any]) -> str:
         "",
         f"- replayed {ff['replayed']} dispatch(es) across "
         f"{ff['engaged_runs']} engaged run(s); {ff['captured']} captured, "
-        f"{ff['fallbacks']} fallback(s), {ff['world_changes']} world "
-        f"change(s)",
+        f"{ff['backed_off']} backed off, {ff['fallbacks']} fallback(s), "
+        f"{ff['world_changes']} world change(s)",
         f"- cache: {provenance['cache']}/{summary['runs']} runs served "
         f"from cache",
     ]

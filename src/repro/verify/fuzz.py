@@ -36,6 +36,7 @@ from ..experiment.runner import Runner
 from ..experiment.spec import ExperimentSpec, TrafficProgram
 from ..mobileip.correspondent import Awareness
 from ..netsim.faults import FaultPlan
+from ..netsim.fastforward import FF_STAT_KEYS
 
 __all__ = [
     "FuzzCase",
@@ -318,10 +319,6 @@ def shrink_case(
 # ----------------------------------------------------------------------
 # The fuzz loop
 # ----------------------------------------------------------------------
-_FF_TOTAL_KEYS = ("engaged_runs", "replayed", "captured", "fallbacks",
-                  "world_changes")
-
-
 @dataclass
 class FuzzReport:
     """Outcome of one fuzzing campaign."""
@@ -402,13 +399,13 @@ def run_fuzz(
     """
     master = random.Random(seed)
     report = FuzzReport(seed=seed, iterations=iterations)
-    report.fast_forward = {key: 0 for key in _FF_TOTAL_KEYS}
+    report.fast_forward = {key: 0 for key in FF_STAT_KEYS}
     for _ in range(iterations):
         case_seed = master.randrange(1 << 31)
         case = generate_case(case_seed)
         result = run_case(case, max_tunnel_depth=max_tunnel_depth, cache=cache)
         report.cases_run += 1
-        for key in _FF_TOTAL_KEYS:
+        for key in FF_STAT_KEYS:
             report.fast_forward[key] += result.fast_forward.get(key, 0)
         if result.ok:
             continue

@@ -97,3 +97,67 @@ class TestFaultDisengagement:
         assert ff["world_changes"] >= 1
         # ...and still have fast-forwarded the quiet stretches.
         assert ff["replayed"] > 0
+
+
+def _indexed_both_spec(datagrams):
+    from repro.experiment import canonical_traffic_spec
+
+    spec = canonical_traffic_spec(datagrams=datagrams, seed=1401)
+    program = spec.traffic.to_dict()
+    program["payload_style"] = "indexed"
+    program["uniform"]["direction"] = "both"
+    return spec.replace(traffic=program)
+
+
+class TestCaptureBackoff:
+    def test_unpairable_flow_backs_off_and_matches(self):
+        """Indexed payloads both ways never pair, and every MH send is a
+        world change: the backoff survives those and caps the captures
+        at O(log n), with digests unchanged."""
+        on, off = _run_pair(_indexed_both_spec(1000))
+        _assert_equivalent(on, off, label="indexed both ways")
+        ff = on.extras["fast_forward"]
+        assert ff["world_changes"] > 500
+        assert ff["captured"] <= 16
+        assert ff["backed_off"] > 0
+
+    def test_pairing_flow_is_never_delayed(self):
+        from repro.experiment import canonical_traffic_spec
+
+        on = Runner().run(canonical_traffic_spec(datagrams=200, seed=1401))
+        ff = on.extras["fast_forward"]
+        assert ff["captured"] == 2
+        assert ff["replayed"] == 190
+        assert ff["backed_off"] == 0
+
+    def test_flow_pairs_again_after_a_world_change(self):
+        """A template resets the backoff, so after a mid-run non-flow
+        event the flow pairs again from two fresh captures."""
+        from repro.experiment import canonical_traffic_spec
+
+        def driver(scenario, _spec):
+            # Traffic runs 5.0-7.0 s; this no-op lands mid-train.
+            scenario.sim.events.schedule(1.0, lambda: None)
+
+        spec = canonical_traffic_spec(datagrams=200, seed=1401)
+        on = Runner().run(spec, driver=driver)
+        off = Runner().run(dataclasses.replace(spec, fast_forward=False),
+                           driver=driver)
+        _assert_equivalent(on, off, label="mid-run world change")
+        ff = on.extras["fast_forward"]
+        assert ff["world_changes"] == 1
+        assert ff["captured"] == 4
+        assert ff["backed_off"] == 0
+        # Only 100 dispatches precede the event: the rest replayed from
+        # the template the two fresh captures formed.
+        assert ff["replayed"] > 100
+
+    def test_exempt_seqs_are_pruned_as_events_pop(self):
+        runner = Runner()
+        runner.run(_indexed_both_spec(300))
+        sim = runner.scenario.sim
+        pending = {seq for _time, seq, _event in sim.events._heap}
+        assert sim.fast_forward._exempt <= pending
+        # Capture hooks are gone once the engaged run returns.
+        assert sim.trace.subscribers == ()
+        assert "note_link_bytes" not in vars(sim.trace)
