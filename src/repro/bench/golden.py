@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 from itertools import chain
+from operator import itemgetter
 from typing import TYPE_CHECKING, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -38,27 +39,26 @@ def trace_digest(trace: "TraceLog") -> Tuple[str, int]:
     chaos determinism tests reuse this over fault-injected runs: same
     plan + same seed must reproduce the digest exactly.
     """
-    # One join + one update is byte-identical to per-line updates
-    # (UTF-8 of a concatenation is the concatenation of UTF-8).  Fast-
-    # forwarded entries carry a precomputed suffix of the seven constant
-    # fields (see repro.netsim.fastforward) — only the timestamp varies
-    # per replay, so only it is formatted here.
-    # Suffixes are never empty (they start with "|"), so ``or`` is a
-    # safe None-fallback.  Timestamps and suffixes are built in two
-    # C-speed passes and interleaved by one join — byte-identical to
-    # per-line concatenation (UTF-8 of a concatenation is the
-    # concatenation of UTF-8).
-    ds = list(map(vars, trace.entries))
+    # Reads the log's rows, ``(time, trace_id, shape)``, directly.  A
+    # line is the timestamp followed by a suffix of the six other
+    # digested fields.  Fast-forward templates precompute that suffix
+    # as ``shape[7]`` (see repro.netsim.fastforward), and every
+    # replayed row shares its template's shape, so only the timestamp
+    # is formatted per replay.  Suffixes are never empty (they start
+    # with "|"), so ``or`` is a safe None-fallback.  Timestamps and
+    # suffixes are built in two C-speed passes and interleaved by one
+    # join and one update — byte-identical to per-line updates (UTF-8
+    # of a concatenation is the concatenation of UTF-8).
+    rows = trace.rows
     suffixes = [
-        d.get("digest_suffix")
-        or f"|{d['node']}|{d['action']}|{d['src']}|"
-           f"{d['dst']}|{d['wire_size']}|{d['detail']}\n"
-        for d in ds
+        shape[7]
+        or f"|{shape[0]}|{shape[1]}|{shape[3]}|{shape[4]}|{shape[5]}|{shape[6]}\n"
+        for _time, _trace_id, shape in rows
     ]
-    times = list(map(repr, [d["time"] for d in ds]))
+    times = list(map(repr, map(itemgetter(0), rows)))
     digest = hashlib.sha256(
         "".join(chain.from_iterable(zip(times, suffixes))).encode())
-    return digest.hexdigest(), len(ds)
+    return digest.hexdigest(), len(rows)
 
 
 def golden_trace_digest(

@@ -53,17 +53,22 @@ Simulator` run.  Mechanics:
   points real scheduling would draw them, and child times are chained
   with the same float additions, so entries, interleaving, and the
   golden digest are byte-identical with fast-forwarding on or off.
-  Trace entries are emitted inline; aggregate counters (action counts,
-  drop reasons, link bytes, component counters) are applied in bulk
-  when the run finishes or the template is invalidated.  Invokes whose
-  effect is provably null (source selection with no selector hook,
-  send/receive reports with no observers, socket delivery into a
-  ``ff_pure`` callback) are pruned from templates at build time.
+  A template compiles each trace emission into one shape tuple with
+  its digest suffix precomputed; replay appends one
+  ``(time, trace_id, shape)`` row per emission, inline, and every
+  replayed datagram shares that shape, so replay builds no
+  ``TraceEntry`` (the log builds those only when read).  Aggregate
+  counters (action counts, drop reasons, link bytes, component
+  counters) are applied in bulk when the run finishes or the template
+  is invalidated.  Invokes whose effect is provably null (source
+  selection with no selector hook, send/receive reports with no
+  observers, socket delivery into a ``ff_pure`` callback) are pruned
+  from templates at build time.
 
 The forwarder disengages entirely — plain ``EventQueue.run`` — when
 the trace log has any subscriber (span recorder, invariant monitor,
 flight recorder, or anything else reading events live: replay appends
-entries without calling ``note()``, so a subscriber would miss them),
+rows without calling ``note()``, so a subscriber would miss them),
 when no flows are registered, when a run has no deadline, or when any
 segment is lossy or down.  The capture itself subscribes (and hooks
 link bytes and transport boundaries) only while a capture is recording.
@@ -87,7 +92,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
 
 from .filters import FilterEngine
 from .packet import _trace_ids
-from .trace import TraceEntry
+from .trace import freeze_row
 
 if TYPE_CHECKING:  # pragma: no cover
     from .events import Event
@@ -174,8 +179,9 @@ class _Step:
     """One event of a captured cascade.
 
     ``ops`` interleaves, in execution order, trace emissions
-    ``("e", snapshot_tuple)``, link-byte notes ``("l", name, size)``,
-    and transport invokes ``("i", bound_method, args, kwargs)``.
+    ``("e", row)`` (the row ``TraceLog.note`` stores), link-byte notes
+    ``("l", name, size)``, and transport invokes
+    ``("i", bound_method, args, kwargs)``.
     """
 
     __slots__ = ("parent", "delay", "label", "fkey", "ops", "delta")
@@ -213,11 +219,12 @@ class _Capture:
 class _Template:
     """A verified cascade, compiled for replay.
 
-    ``steps[i]`` is ``(delay, protos, invokes, children)``: entry
-    prototype dicts (time/trace_id filled at replay), live invoke
-    triples, and child step indexes.  All aggregate effects (action
-    counts, drop reasons, link bytes, counter cells) are summed once
-    here and applied ``count`` times at flush.
+    ``steps[i]`` is ``(delay, shapes, invokes, children)``: trace-row
+    shapes with their digest suffix precomputed (time and trace id are
+    paired with them at replay), live invoke triples, and child step
+    indexes.  All aggregate effects (action counts, drop reasons, link
+    bytes, counter cells) are summed once here and applied ``count``
+    times at flush.
     """
 
     __slots__ = ("sig", "steps", "span", "n", "actions", "drops", "losses",
@@ -234,13 +241,6 @@ class _Template:
         self.links = links
         self.cells = cells
         self.count = 0
-
-
-def _emission_snapshot(packet, node: str, action: str, detail: str) -> tuple:
-    # Eager: packets mutate in place (TTL decrements, encap), so every
-    # field a TraceEntry would derive is frozen at note() time.
-    return (node, action, repr(packet), packet.trace_id,
-            str(packet.src), str(packet.dst), packet.wire_size, detail)
 
 
 def _prunable_invoke(func) -> bool:
@@ -361,7 +361,7 @@ class FastForwarder:
         if (not self.enabled or until is None or not self._flows
                 or sim.trace.subscribers
                 or not self._segments_clean()):
-            # Replay appends entries without calling note(), so any
+            # Replay appends rows without calling note(), so any
             # trace subscriber would miss replayed cascades.
             return sim.events.run(until=until, max_events=max_events)
         return self._run_engaged(until, max_events)
@@ -429,10 +429,8 @@ class FastForwarder:
         self._key_state.clear()
         self.engaged_runs += 1
         trace = sim.trace
-        entries = trace.entries
-        byid = trace._entries_by_id
-        new = TraceEntry.__new__
-        cls = TraceEntry
+        rows = trace.rows
+        byid = trace._rows_by_id
         pop = heappop
         push = heappush
         flows = self._flows
@@ -477,15 +475,10 @@ class FastForwarder:
                             time, _vseq, ctx, idx = pop(vheap)
                             clock._now = time
                             steps, trace_id, index_list = ctx
-                            _delay, protos, invokes, children = steps[idx]
-                            if protos:
-                                for proto in protos:
-                                    entry = new(cls)
-                                    # frozen bypass: one update() call
-                                    entry.__dict__.update(
-                                        proto, time=time, trace_id=trace_id)
-                                    index_list.append(len(entries))
-                                    entries.append(entry)
+                            _delay, shapes, invokes, children = steps[idx]
+                            for shape in shapes:
+                                index_list.append(len(rows))
+                                rows.append((time, trace_id, shape))
                             for func, fargs, fkwargs in invokes:
                                 func(*fargs, **fkwargs)
                             if children:
@@ -750,7 +743,7 @@ class FastForwarder:
     @staticmethod
     def _cascade_trace_id(capture: _Capture) -> Optional[int]:
         ids = {
-            op[1][3]
+            op[1][1]
             for step in capture.steps
             for op in step.ops
             if op[0] == "e"
@@ -781,10 +774,9 @@ class FastForwarder:
                 if op_a[0] != op_b[0]:
                     return False
                 if op_a[0] == "e":
-                    ea, eb = op_a[1], op_b[1]
-                    if ea[3] != tid_a or eb[3] != tid_b:
-                        return False
-                    if ea[:3] != eb[:3] or ea[4:] != eb[4:]:
+                    _time_a, id_a, shape_a = op_a[1]
+                    _time_b, id_b, shape_b = op_b[1]
+                    if id_a != tid_a or id_b != tid_b or shape_a != shape_b:
                         return False
                 elif op_a[0] == "i":
                     fa, fb = op_a[1], op_b[1]
@@ -816,28 +808,22 @@ class FastForwarder:
         enabled = self._sim.trace.enabled
         compiled = []
         for i, step in enumerate(steps):
-            protos = []
+            shapes = []
             invokes = []
             for op in step.ops:
                 if op[0] == "e":
-                    e = op[1]
+                    e = op[1][2]
                     actions[e[1]] += 1
                     if e[1] == "drop":
-                        drops[e[7]] += 1
+                        drops[e[6]] += 1
                     elif e[1] == "lost":
-                        losses[e[7]] += 1
+                        losses[e[6]] += 1
                     if enabled:
-                        # time/trace_id are filled per replayed event.
-                        # digest_suffix rides along in the instance dict
-                        # so trace_digest skips re-formatting the seven
-                        # constant fields for every replayed entry.
-                        protos.append({
-                            "node": e[0], "action": e[1],
-                            "packet_repr": e[2], "src": e[4], "dst": e[5],
-                            "wire_size": e[6], "detail": e[7],
-                            "digest_suffix":
-                                f"|{e[0]}|{e[1]}|{e[4]}|{e[5]}|{e[6]}|{e[7]}\n",
-                        })
+                        # Every replayed row shares this shape; its
+                        # precomputed digest suffix spares trace_digest
+                        # re-formatting the constant fields per replay.
+                        shapes.append(e[:7] + (
+                            f"|{e[0]}|{e[1]}|{e[3]}|{e[4]}|{e[5]}|{e[6]}\n",))
                 elif op[0] == "i":
                     if not _prunable_invoke(op[1]):
                         invokes.append((op[1], op[2], op[3]))
@@ -854,7 +840,7 @@ class FastForwarder:
                     for dkey, dv in delta:
                         merged[dkey] = merged.get(dkey, 0) + dv
                     cell_totals[cell_index] = tuple(sorted(merged.items()))
-            compiled.append((step.delay, tuple(protos), tuple(invokes),
+            compiled.append((step.delay, tuple(shapes), tuple(invokes),
                              tuple(children[i])))
         return _Template(capture.sig, compiled, max(rel), actions, drops,
                          losses, links, tuple(cell_totals.items()))
@@ -945,7 +931,7 @@ class FastForwarder:
         if (capture is not None and capture.record and capture.alive
                 and not self._in_invoke):
             capture.steps[self._cur_idx].ops.append(
-                ("e", _emission_snapshot(packet, node, action, detail)))
+                ("e", freeze_row(time, node, action, packet, detail)))
 
     def _link_wrap(self, link_name, size):
         capture = self._cur

@@ -22,15 +22,25 @@ order.  :class:`TraceObserver` is their shared attach/detach base.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from .packet import Packet
 
-__all__ = ["TraceEntry", "TraceLog", "TraceObserver", "entry_json", "freeze_entry"]
+__all__ = ["TraceEntries", "TraceEntry", "TraceLog", "TraceObserver",
+           "entry_json", "freeze_row"]
 
 # A subscriber receives ``(time, node, action, packet, detail)``.
 Subscriber = Callable[[float, str, str, Packet, str], None]
+
+# The log stores one row per event: ``(time, trace_id, shape)``.  A
+# shape is ``(node, action, packet_repr, src, dst, wire_size, detail,
+# digest_suffix)``; the suffix is the digest line after the timestamp
+# (see repro.bench.golden), precomputed by fast-forward templates and
+# None elsewhere.  Replayed rows share their template's shape tuple.
+Shape = Tuple[str, str, str, str, str, int, str, Optional[str]]
+Row = Tuple[float, int, Shape]
 
 
 @dataclass(frozen=True)
@@ -48,46 +58,73 @@ class TraceEntry:
     detail: str = ""
 
 
-def freeze_entry(
+def freeze_row(
     time: float, node: str, action: str, packet: Packet, detail: str = ""
-) -> TraceEntry:
-    """The :class:`TraceEntry` for one event, frozen from the live packet.
+) -> Row:
+    """The row for one event, frozen from the live packet.
 
     Packets mutate in place (TTL decrements, encapsulation), so every
     field is derived now, at ``note()`` time.
     """
-    # Build the frozen entry via __new__ + __dict__: the dataclass
-    # __init__ routes every field through object.__setattr__, which
-    # dominates the tracing-enabled hot path.  Field values are
-    # identical to the constructor call this replaces.
-    entry = TraceEntry.__new__(TraceEntry)
-    entry.__dict__.update(
-        time=time,
-        node=node,
-        action=action,
-        packet_repr=repr(packet),
-        trace_id=packet.trace_id,
-        src=str(packet.src),
-        dst=str(packet.dst),
-        wire_size=packet.wire_size,
-        detail=detail,
-    )
-    return entry
+    return (time, packet.trace_id,
+            (node, action, repr(packet), str(packet.src), str(packet.dst),
+             packet.wire_size, detail, None))
 
 
-def entry_json(entry: TraceEntry) -> Dict[str, Any]:
-    """One entry as the JSON object :meth:`TraceLog.export_jsonl` writes."""
+def _row_entry(row: Row) -> TraceEntry:
+    time, trace_id, shape = row
+    return TraceEntry(time, shape[0], shape[1], shape[2], trace_id,
+                      shape[3], shape[4], shape[5], shape[6])
+
+
+def entry_json(row: Row) -> Dict[str, Any]:
+    """One row as the JSON object :meth:`TraceLog.export_jsonl` writes."""
+    time, trace_id, shape = row
     return {
-        "time": entry.time,
-        "node": entry.node,
-        "action": entry.action,
-        "trace_id": entry.trace_id,
-        "src": entry.src,
-        "dst": entry.dst,
-        "wire_size": entry.wire_size,
-        "detail": entry.detail,
-        "packet": entry.packet_repr,
+        "time": time,
+        "node": shape[0],
+        "action": shape[1],
+        "trace_id": trace_id,
+        "src": shape[3],
+        "dst": shape[4],
+        "wire_size": shape[5],
+        "detail": shape[6],
+        "packet": shape[2],
     }
+
+
+class TraceEntries(Sequence):
+    """Read-only view of a log's rows as :class:`TraceEntry` objects.
+
+    Entries are built on index, slice and iteration; nothing is cached.
+    The view equals any sequence with equal elements (a list, a tuple,
+    another view).
+    """
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: List[Row]):
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [_row_entry(row) for row in self._rows[index]]
+        return _row_entry(self._rows[index])
+
+    def __iter__(self):
+        return map(_row_entry, self._rows)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            mine == theirs for mine, theirs in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"TraceEntries({list(self)!r})"
 
 
 class TraceLog:
@@ -101,22 +138,25 @@ class TraceLog:
       throughput runs pay one call and one branch per event.
     * ``TraceLog(enabled=False)`` — keeps the per-packet hop records
       and the incremental aggregates (action counts, drop reasons)
-      but skips per-event :class:`TraceEntry` construction.
-    * ``TraceLog()`` — full tracing; every event becomes an entry.
+      but stores no per-event rows.
+    * ``TraceLog()`` — full tracing; every event becomes one row in
+      :attr:`rows` (see :func:`freeze_row`).
 
     On every level, :meth:`note` then hands the event to each of
-    :attr:`subscribers` in subscription order.
+    :attr:`subscribers` in subscription order.  :attr:`entries` is a
+    read-only view that builds a :class:`TraceEntry` per row on read;
+    the queries and the JSONL export read the rows directly.
     """
 
     def __init__(self, enabled: bool = True, aggregates: bool = True):
         self.enabled = enabled
         self.aggregates = aggregates or enabled
-        self.entries: List[TraceEntry] = []
-        # trace_id -> indices into ``entries``, maintained incrementally
+        self.rows: List[Row] = []
+        # trace_id -> indices into ``rows``, maintained incrementally
         # by note() so the per-datagram queries (entries_for, delivered,
         # dropped, delivery_ratio) are O(per-datagram events) instead of
         # a full O(n) scan per call.
-        self._entries_by_id: Dict[int, List[int]] = defaultdict(list)
+        self._rows_by_id: Dict[int, List[int]] = defaultdict(list)
         # Aggregates maintained incrementally so benches stay cheap even
         # with tracing of individual entries disabled.
         self.bytes_by_link: Counter = Counter()
@@ -166,9 +206,9 @@ class TraceLog:
             elif action == "lost":
                 self.losses_by_reason[detail] += 1
             if self.enabled:
-                entries = self.entries
-                self._entries_by_id[packet.trace_id].append(len(entries))
-                entries.append(freeze_entry(time, node, action, packet, detail))
+                rows = self.rows
+                self._rows_by_id[packet.trace_id].append(len(rows))
+                rows.append(freeze_row(time, node, action, packet, detail))
         for subscriber in self.subscribers:
             subscriber(time, node, action, packet, detail)
 
@@ -179,30 +219,38 @@ class TraceLog:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
+    @property
+    def entries(self) -> TraceEntries:
+        """Every recorded event, oldest first, as a read-only view."""
+        return TraceEntries(self.rows)
+
     def entries_for(self, trace_id: int) -> List[TraceEntry]:
-        entries = self.entries
-        return [entries[index] for index in self._entries_by_id.get(trace_id, ())]
+        rows = self.rows
+        return [_row_entry(rows[index])
+                for index in self._rows_by_id.get(trace_id, ())]
+
+    def _shapes_for(self, trace_id: int) -> List[Shape]:
+        rows = self.rows
+        return [rows[index][2] for index in self._rows_by_id.get(trace_id, ())]
 
     def path_of(self, trace_id: int) -> Tuple[str, ...]:
         """Node names that forwarded/delivered the logical datagram."""
         return tuple(
-            entry.node
-            for entry in self.entries_for(trace_id)
-            if entry.action in ("forward", "deliver")
+            shape[0]
+            for shape in self._shapes_for(trace_id)
+            if shape[1] in ("forward", "deliver")
         )
 
     def delivered(self, trace_id: int) -> bool:
-        return any(
-            entry.action == "deliver" for entry in self.entries_for(trace_id)
-        )
+        return any(shape[1] == "deliver" for shape in self._shapes_for(trace_id))
 
     def dropped(self, trace_id: int) -> bool:
-        return any(entry.action == "drop" for entry in self.entries_for(trace_id))
+        return any(shape[1] == "drop" for shape in self._shapes_for(trace_id))
 
     def drop_detail(self, trace_id: int) -> Optional[str]:
-        for entry in self.entries_for(trace_id):
-            if entry.action == "drop":
-                return entry.detail
+        for shape in self._shapes_for(trace_id):
+            if shape[1] == "drop":
+                return shape[6]
         return None
 
     @property
@@ -223,9 +271,9 @@ class TraceLog:
     def hop_counts(self) -> Dict[int, int]:
         """trace_id -> number of forwarding hops."""
         counts: Dict[int, int] = defaultdict(int)
-        for entry in self.entries:
-            if entry.action == "forward":
-                counts[entry.trace_id] += 1
+        for _time, trace_id, shape in self.rows:
+            if shape[1] == "forward":
+                counts[trace_id] += 1
         return dict(counts)
 
     def summary(self) -> str:
@@ -256,20 +304,20 @@ class TraceLog:
         dumps = json.dumps
         buffer: List[str] = []
         with open(path, "w") as handle:
-            for entry in self.entries:
-                buffer.append(dumps(entry_json(entry)))
+            for row in self.rows:
+                buffer.append(dumps(entry_json(row)))
                 if len(buffer) >= chunk_lines:
                     handle.write("\n".join(buffer) + "\n")
                     buffer.clear()
             if buffer:
                 handle.write("\n".join(buffer) + "\n")
-        return len(self.entries)
+        return len(self.rows)
 
     @classmethod
     def import_jsonl(cls, path) -> "TraceLog":
         """Rebuild a :class:`TraceLog` from an :meth:`export_jsonl` file.
 
-        Entries, the per-datagram index, and the derivable aggregates
+        Rows, the per-datagram index, and the derivable aggregates
         (action counts, drop reasons) are all reconstructed, so the
         query API works identically on an imported log.  Per-link byte
         counters are *not* round-tripped: they are recorded through
@@ -279,31 +327,24 @@ class TraceLog:
         import json
 
         log = cls(enabled=True)
-        entries = log.entries
+        rows = log.rows
         with open(path) as handle:
             for line in handle:
                 line = line.strip()
                 if not line:
                     continue
                 obj = json.loads(line)
-                entry = TraceEntry(
-                    time=obj["time"],
-                    node=obj["node"],
-                    action=obj["action"],
-                    packet_repr=obj.get("packet", ""),
-                    trace_id=obj["trace_id"],
-                    src=obj["src"],
-                    dst=obj["dst"],
-                    wire_size=obj["wire_size"],
-                    detail=obj.get("detail", ""),
-                )
-                log._entries_by_id[entry.trace_id].append(len(entries))
-                entries.append(entry)
-                log.action_counts[entry.action] += 1
-                if entry.action == "drop":
-                    log.drops_by_reason[entry.detail] += 1
-                elif entry.action == "lost":
-                    log.losses_by_reason[entry.detail] += 1
+                action = obj["action"]
+                detail = obj.get("detail", "")
+                log._rows_by_id[obj["trace_id"]].append(len(rows))
+                rows.append((obj["time"], obj["trace_id"], (
+                    obj["node"], action, obj.get("packet", ""), obj["src"],
+                    obj["dst"], obj["wire_size"], detail, None)))
+                log.action_counts[action] += 1
+                if action == "drop":
+                    log.drops_by_reason[detail] += 1
+                elif action == "lost":
+                    log.losses_by_reason[detail] += 1
         return log
 
 

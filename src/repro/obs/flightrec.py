@@ -16,16 +16,16 @@ Digest neutrality is by construction: the log records each event before
 calling its subscribers, and the recorder only *reads* packet state, so
 the trace stream, RNG, and event order are untouched.  The one
 behavioral interaction is with the fast-forwarder: replayed cascades
-append entries directly to ``TraceLog.entries`` without calling
+append rows directly to ``TraceLog.rows`` without calling
 ``note()``, so no subscriber would see them — the forwarder therefore
 stands aside (plain execution) whenever the trace log has any
 subscriber.  The replayed-vs-real trace is byte-identical either way,
 so arming the recorder still never changes a digest.
 
-Entry snapshots are eager (packets mutate in place — TTL decrements,
-encapsulation): the ring holds the same frozen
-:class:`~repro.netsim.trace.TraceEntry` the log itself would build,
-which makes the armed cost comparable to entry-level tracing; the
+Event snapshots are eager (packets mutate in place — TTL decrements,
+encapsulation): the ring holds the same row
+(:func:`~repro.netsim.trace.freeze_row`) the log itself stores, which
+makes the armed cost comparable to entry-level tracing; the
 ``ledger_overhead`` bench workload records it honestly.
 """
 
@@ -36,7 +36,7 @@ import os
 from collections import deque
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
-from ..netsim.trace import TraceObserver, entry_json, freeze_entry
+from ..netsim.trace import TraceObserver, entry_json, freeze_row
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..netsim.packet import Packet
@@ -64,7 +64,7 @@ class FlightRecorder(TraceObserver):
         self, time: float, node: str, action: str, packet: "Packet",
         detail: str = "",
     ) -> None:
-        self.ring.append(freeze_entry(time, node, action, packet, detail))
+        self.ring.append(freeze_row(time, node, action, packet, detail))
         self.recorded += 1
 
     # ------------------------------------------------------------------
@@ -72,7 +72,7 @@ class FlightRecorder(TraceObserver):
     # ------------------------------------------------------------------
     def entries(self) -> List[Dict[str, Any]]:
         """The ring's contents, oldest first, as JSON-clean dicts."""
-        return [entry_json(entry) for entry in self.ring]
+        return [entry_json(row) for row in self.ring]
 
     def engine_state(self) -> Dict[str, Any]:
         """Live engine internals at dump time (queue, nodes, segments)."""

@@ -9,6 +9,7 @@ fault plan.
 """
 
 import dataclasses
+import json
 import pathlib
 
 from repro.experiment import Runner, SpecGrid
@@ -97,6 +98,68 @@ class TestFaultDisengagement:
         assert ff["world_changes"] >= 1
         # ...and still have fast-forwarded the quiet stretches.
         assert ff["replayed"] > 0
+
+
+def _traced_pair(spec):
+    """One spec, fast-forward on and off; returns both results and
+    both trace logs."""
+    on_runner, off_runner = Runner(), Runner()
+    on = on_runner.run(spec)
+    off = off_runner.run(dataclasses.replace(spec, fast_forward=False))
+    return on, off, on_runner.scenario.sim.trace, off_runner.scenario.sim.trace
+
+
+def _rebased(entries):
+    """Entries with trace ids made relative to the run's first id (the
+    id counter is process-global, so absolute values differ per run)."""
+    base = entries[0].trace_id
+    return [dataclasses.replace(entry, trace_id=entry.trace_id - base)
+            for entry in entries]
+
+
+class TestReplayedRows:
+    """Replay stores shared-shape rows; reads see the same entries the
+    per-event run records."""
+
+    def _canonical(self):
+        from repro.experiment import canonical_traffic_spec
+
+        on, off, trace_on, trace_off = _traced_pair(
+            canonical_traffic_spec(datagrams=200, seed=1401))
+        _assert_equivalent(on, off, label="canonical")
+        # The oracle must not pass by the fast path never engaging.
+        assert on.extras["fast_forward"]["replayed"] > 0
+        return trace_on, trace_off
+
+    def test_entries_match_field_by_field(self):
+        trace_on, trace_off = self._canonical()
+        assert len(trace_on.entries) == len(trace_off.entries) > 0
+        assert _rebased(trace_on.entries) == _rebased(trace_off.entries)
+
+    def test_replayed_datagrams_share_step_shapes(self):
+        trace_on, _ = self._canonical()
+        replayed: dict = {}
+        for _time, trace_id, shape in trace_on.rows:
+            if shape[7] is not None:
+                replayed.setdefault(trace_id, []).append(shape)
+        assert len(replayed) >= 2
+        first, second = list(replayed.values())[:2]
+        assert len(first) == len(second) > 0
+        for shape_a, shape_b in zip(first, second):
+            assert shape_a is shape_b
+
+    def test_export_jsonl_identical_after_rebasing(self, tmp_path):
+        trace_on, trace_off = self._canonical()
+        lines = {}
+        for name, trace in (("on", trace_on), ("off", trace_off)):
+            path = tmp_path / f"{name}.jsonl"
+            assert trace.export_jsonl(path) == len(trace.entries)
+            objs = [json.loads(line) for line in path.read_text().splitlines()]
+            base = objs[0]["trace_id"]
+            for obj in objs:
+                obj["trace_id"] -= base
+            lines[name] = [json.dumps(obj) for obj in objs]
+        assert lines["on"] == lines["off"]
 
 
 def _indexed_both_spec(datagrams):

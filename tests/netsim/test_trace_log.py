@@ -1,8 +1,11 @@
-"""Tests for TraceLog's per-datagram index and JSONL round-tripping."""
+"""Tests for TraceLog's per-datagram index, entries view and JSONL
+round-tripping."""
+
+import pytest
 
 from repro.netsim.addressing import IPAddress
 from repro.netsim.packet import IPProto, Packet
-from repro.netsim.trace import TraceLog
+from repro.netsim.trace import TraceEntry, TraceLog
 
 
 def _packet(payload_size=100):
@@ -58,6 +61,55 @@ class TestEntriesIndex:
         assert log.entries == []
         assert log.entries_for(packet.trace_id) == []
         assert log.total_deliveries == 1  # aggregates still counted
+
+
+class TestEntriesView:
+    def test_len_and_indexing(self):
+        log, packets = _interleaved_log(datagrams=3, hops=2)
+        entries = log.entries
+        assert len(entries) == 6
+        first = entries[0]
+        assert isinstance(first, TraceEntry)
+        assert (first.time, first.node, first.action) == (0.0, "n0", "send")
+        assert first.trace_id == packets[0].trace_id
+        assert entries[-1] == entries[5]
+        assert entries[-1].trace_id == packets[2].trace_id
+        with pytest.raises(IndexError):
+            entries[6]
+
+    def test_slice_iteration_and_membership(self):
+        log, _ = _interleaved_log(datagrams=3, hops=2)
+        entries = log.entries
+        listed = list(entries)
+        assert len(listed) == 6
+        assert all(isinstance(entry, TraceEntry) for entry in listed)
+        assert entries[1:4] == listed[1:4]
+        assert entries[::-1] == listed[::-1]
+        assert listed[2] in entries
+        assert TraceEntry(9.0, "x", "send", "", 0, "", "", 0) not in entries
+
+    def test_equality_with_lists_and_views(self):
+        log, _ = _interleaved_log(datagrams=2, hops=2)
+        listed = list(log.entries)
+        assert log.entries == listed
+        assert listed == log.entries
+        assert log.entries == tuple(listed)
+        assert log.entries == log.entries
+        assert log.entries != listed[:-1]
+        assert log.entries != listed[::-1]
+        other, _ = _interleaved_log(datagrams=2, hops=2)
+        # Fresh packets draw fresh trace ids: same events, unequal entries.
+        assert log.entries != other.entries
+
+    def test_view_is_read_only(self):
+        log, packets = _interleaved_log(datagrams=1, hops=1)
+        entries = log.entries
+        assert not hasattr(entries, "append")
+        with pytest.raises(TypeError):
+            entries[0] = entries[0]
+        # The view is live: later notes show through it.
+        log.note(5.0, "n9", "deliver", packets[0])
+        assert len(entries) == 2 and entries[-1].node == "n9"
 
 
 class TestJsonlRoundTrip:
