@@ -679,7 +679,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
         "baseline" in whole or ("results" in whole and "meta" in whole))
     invalid = 0
     if is_bench:
-        summary = _bench_summary(whole)
+        try:
+            summary = _bench_summary(whole)
+        except ValueError as exc:
+            print(f"error: {args.path}: {exc}", file=sys.stderr)
+            return 1
         rendered = _render_bench_markdown(summary)
     elif is_ledger:
         records, torn = read_ledger(args.path)
@@ -714,7 +718,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _bench_summary(data):
-    """Normalize a bench file (raw suite or baseline/optimized pair)."""
+    """Normalize a bench file (raw suite or baseline/optimized pair).
+
+    Raises ``ValueError`` naming the first field the renderer cannot
+    read: a bench file is user input.
+    """
     suites = {}
     if "meta" in data and "results" in data:
         suites["suite"] = data
@@ -722,25 +730,41 @@ def _bench_summary(data):
         suite = data.get(name)
         if isinstance(suite, dict) and "results" in suite:
             suites[name] = suite
+    speedup = data.get("speedup") or {}
+    if not isinstance(speedup, dict) or not all(
+            _is_number(value) for value in speedup.values()):
+        raise ValueError("speedup is not an object of numbers")
     return {
         "kind": "bench",
-        "suites": {
-            name: {
-                "meta": dict(suite.get("meta", {})),
-                "workloads": {
-                    workload: {
-                        "ns_per_op": result.get("ns_per_op"),
-                        "ops_per_sec": result.get("ops_per_sec"),
-                        "units": result.get("units"),
-                        "unit": result.get("unit"),
-                    }
-                    for workload, result in sorted(suite["results"].items())
-                },
-            }
-            for name, suite in suites.items()
-        },
-        "speedup": dict(data.get("speedup") or {}),
+        "suites": {name: _bench_suite(name, suite)
+                   for name, suite in suites.items()},
+        "speedup": dict(speedup),
     }
+
+
+def _bench_suite(name, suite):
+    meta, results = suite.get("meta", {}), suite["results"]
+    if not isinstance(meta, dict):
+        raise ValueError(f"{name}: meta is not an object")
+    if not isinstance(results, dict):
+        raise ValueError(f"{name}: results is not an object")
+    workloads = {}
+    for workload, result in sorted(results.items()):
+        if not isinstance(result, dict):
+            raise ValueError(f"{name}: results.{workload} is not an object")
+        for key in ("ns_per_op", "ops_per_sec"):
+            if not _is_number(result.get(key)):
+                raise ValueError(
+                    f"{name}: results.{workload}.{key} is not a number")
+        workloads[workload] = {
+            key: result.get(key)
+            for key in ("ns_per_op", "ops_per_sec", "units", "unit")
+        }
+    return {"meta": dict(meta), "workloads": workloads}
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _render_bench_markdown(summary) -> str:

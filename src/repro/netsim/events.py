@@ -9,7 +9,7 @@ all randomness flows through a single seeded RNG owned by the
 :class:`Simulator` (see :mod:`repro.netsim.simulator`).
 
 Performance notes (this engine bounds the wall time of every figure
-benchmark — see ``python -m repro.bench``):
+benchmark — see ``perfbench/run.py``):
 
 * The heap stores plain ``(time, seq, event)`` tuples, so sift
   comparisons are C-level tuple comparisons instead of dataclass

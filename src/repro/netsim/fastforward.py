@@ -139,13 +139,6 @@ class _IntCell:
         self.obj = obj
         self.attr = attr
 
-    def snap(self) -> int:
-        return getattr(self.obj, self.attr)
-
-    def delta(self, before: int):
-        d = getattr(self.obj, self.attr) - before
-        return d or None
-
     def apply(self, delta: int, count: int) -> None:
         setattr(self.obj, self.attr, getattr(self.obj, self.attr) + delta * count)
 
@@ -157,9 +150,6 @@ class _DictCell:
 
     def __init__(self, mapping: Dict[str, int]):
         self.mapping = mapping
-
-    def snap(self) -> Dict[str, int]:
-        return dict(self.mapping)
 
     def delta(self, before: Dict[str, int]):
         out = [

@@ -24,8 +24,8 @@ simulator (the span recorder attaches as a subscriber of the
 :class:`~repro.netsim.trace.TraceLog`; with none subscribed, ``note``
 fans out to an empty tuple).  A subscribed span recorder stands the
 fast-forwarder aside; the engine sampler alone (``spans=False``) keeps
-the fast path.  The ``obs_overhead`` workload in :mod:`repro.bench`
-keeps that promise honest.
+the fast path.  ``tests/obs`` pins that arming it leaves the golden
+digest unchanged.
 """
 
 from __future__ import annotations

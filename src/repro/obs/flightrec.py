@@ -25,8 +25,7 @@ so arming the recorder still never changes a digest.
 Event snapshots are eager (packets mutate in place — TTL decrements,
 encapsulation): the ring holds the same row
 (:func:`~repro.netsim.trace.freeze_row`) the log itself stores, which
-makes the armed cost comparable to entry-level tracing; the
-``ledger_overhead`` bench workload records it honestly.
+makes the armed cost comparable to entry-level tracing.
 """
 
 from __future__ import annotations

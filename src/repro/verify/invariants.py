@@ -108,21 +108,6 @@ def _tunnel_depth(packet: Packet) -> int:
         current = inner
 
 
-def _innermost(packet: Packet) -> Packet:
-    """The innermost nested packet (the packet itself when not nested)."""
-    current = packet
-    while True:
-        payload = getattr(current, "payload", None)
-        if isinstance(payload, Packet):
-            current = payload
-            continue
-        original = getattr(payload, "original", None)
-        if isinstance(original, Packet):
-            current = original
-            continue
-        return current
-
-
 def _first_inner(packet: Packet) -> Optional[Packet]:
     """The immediately-nested packet, or None when not encapsulated."""
     payload = getattr(packet, "payload", None)

@@ -36,6 +36,14 @@ class TestChaosDeterminism:
         other = run_chaos(plan=lossy_plan(), seed=8, duration=80.0)
         assert first.digest != other.digest
 
+    def test_fast_forward_off_gives_the_same_run(self):
+        on = run_chaos(seed=4242, duration=130.0)
+        off = run_chaos(seed=4242, duration=130.0, fast_forward=False)
+        assert on.digest == off.digest
+        assert on.to_dict() == off.to_dict()
+        assert on.faults  # the default plan fired
+        assert on.registered  # and the mobile host recovered
+
 
 class TestHomeAgentOutageRecovery:
     def test_outage_restart_drives_backoff_and_reprobe(self):

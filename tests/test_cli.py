@@ -1,8 +1,12 @@
 """Tests for the command-line interface."""
 
+import pathlib
+
 import pytest
 
 from repro.cli import main
+
+_REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(autouse=True)
@@ -518,10 +522,8 @@ class TestFlightrecAcceptance:
         # exits 1 and leaves flightrec.json in the CWD with the
         # violating datagram among the last-N ring entries.
         import json
-        import pathlib
 
-        spec = str(pathlib.Path(__file__).resolve().parents[1]
-                   / "examples" / "violating_spec.json")
+        spec = str(_REPO_ROOT / "examples" / "violating_spec.json")
         assert main(["sweep", "--spec", spec, "--no-cache"]) == 1
         captured = capsys.readouterr()
         assert "flight recorder dumped to" in captured.out
@@ -533,10 +535,7 @@ class TestFlightrecAcceptance:
         assert violating_ids & ring_ids
 
     def test_no_flightrec_suppresses_the_dump(self, tmp_path, capsys):
-        import pathlib
-
-        spec = str(pathlib.Path(__file__).resolve().parents[1]
-                   / "examples" / "violating_spec.json")
+        spec = str(_REPO_ROOT / "examples" / "violating_spec.json")
         assert main(["sweep", "--spec", spec, "--no-cache",
                      "--no-flightrec"]) == 1
         assert not (pathlib.Path.cwd() / "flightrec.json").exists()
@@ -595,24 +594,39 @@ class TestReportSubcommand:
         captured = capsys.readouterr()
         assert "invalid ledger record" in captured.err
 
-    def test_report_renders_bench_trajectory(self, capsys):
-        import pathlib
+    @pytest.mark.parametrize("name", sorted(
+        path.name for path in _REPO_ROOT.glob("BENCH_PR*.json")))
+    def test_report_renders_bench_trajectory(self, name, capsys):
+        import json
 
-        bench = str(pathlib.Path(__file__).resolve().parents[1]
-                    / "BENCH_PR6.json")
-        assert main(["report", bench]) == 0
+        bench = _REPO_ROOT / name
+        assert main(["report", str(bench)]) == 0
         out = capsys.readouterr().out
         assert out.startswith("# Bench trajectory report")
-        assert "## baseline" in out
-        assert "## optimized" in out
-        assert "x |" in out  # speedup column
+        data = json.loads(bench.read_text())
+        if "baseline" in data:
+            assert "## baseline" in out
+            assert "## optimized" in out
+            assert "x |" in out  # speedup column
+        else:
+            assert "## suite" in out
 
     def test_report_missing_file_errors(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "nope.jsonl")]) == 1
         assert "error" in capsys.readouterr().err
 
-    def test_report_unrecognized_json_errors(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text, message", [
+        ('{"hello": "world"}', "neither a run ledger nor a bench"),
+        ('{"meta": {}, "results": []}', "results is not an object"),
+        ('{"meta": {}, "results": {"x": {"units": 1}}}',
+         "results.x.ns_per_op is not a number"),
+    ], ids=["not-bench", "results-list", "no-ns-per-op"])
+    def test_report_unrecognized_json_errors(self, tmp_path, capsys,
+                                             text, message):
         other = tmp_path / "other.json"
-        other.write_text('{"hello": "world"}')
+        other.write_text(text)
         assert main(["report", str(other)]) == 1
-        assert "neither a run ledger nor a bench" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {other}: ")
+        assert message in err
+        assert "Traceback" not in err
