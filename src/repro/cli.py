@@ -734,12 +734,31 @@ def _bench_summary(data):
     if not isinstance(speedup, dict) or not all(
             _is_number(value) for value in speedup.values()):
         raise ValueError("speedup is not an object of numbers")
-    return {
+    summary = {
         "kind": "bench",
         "suites": {name: _bench_suite(name, suite)
                    for name, suite in suites.items()},
         "speedup": dict(speedup),
     }
+    if "fast_forward_deltas" in data:
+        summary["fast_forward_deltas"] = _ff_deltas(data["fast_forward_deltas"])
+    return summary
+
+
+_FF_DELTA_KEYS = ("ff_off_ops_per_sec", "ff_on_ops_per_sec", "speedup")
+
+
+def _ff_deltas(deltas):
+    """Fast-forward on/off throughput per workload, validated."""
+    if not isinstance(deltas, dict):
+        raise ValueError("fast_forward_deltas is not an object")
+    for workload, delta in deltas.items():
+        for key in _FF_DELTA_KEYS:
+            if not (isinstance(delta, dict) and _is_number(delta.get(key))):
+                raise ValueError(
+                    f"fast_forward_deltas.{workload}.{key} is not a number")
+    return {workload: {key: delta[key] for key in _FF_DELTA_KEYS}
+            for workload, delta in sorted(deltas.items())}
 
 
 def _bench_suite(name, suite):
@@ -788,6 +807,17 @@ def _render_bench_markdown(summary) -> str:
             elif with_speedup:
                 row += " - |"
             lines.append(row)
+        lines.append("")
+    deltas = summary.get("fast_forward_deltas")
+    if deltas:
+        lines.append("## fast-forward on/off")
+        lines.append("")
+        lines.append("| workload | FF off ops/sec | FF on ops/sec | ratio |")
+        lines.append("|---|---:|---:|---:|")
+        for workload, delta in deltas.items():
+            lines.append(f"| {workload} | {delta['ff_off_ops_per_sec']:,.0f} "
+                         f"| {delta['ff_on_ops_per_sec']:,.0f} "
+                         f"| {delta['speedup']:.2f}x |")
         lines.append("")
     return "\n".join(lines)
 

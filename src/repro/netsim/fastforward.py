@@ -73,15 +73,10 @@ when no flows are registered, when a run has no deadline, or when any
 segment is lossy or down.  The capture itself subscribes (and hooks
 link bytes and transport boundaries) only while a capture is recording.
 
-Known, deliberate gaps: replayed packets do not exist as objects, so
-per-packet hop records (``Packet.record``) are not produced for
-replayed datagrams — nothing in the result pipeline reads them for
-steady flows, and every mode that does (span recorder, invariants)
-subscribes to the trace log and so disengages the fast path.  Within
-one replayed event, all trace emissions are applied before the live
-invokes; a cascade whose invokes themselves emit trace entries
-interleaved with note() calls would reorder within that single event
-(none of the registered transport boundaries do).
+Known, deliberate gap: within one replayed event, all trace emissions
+are applied before the live invokes; a cascade whose invokes themselves
+emit trace entries interleaved with note() calls would reorder within
+that single event (none of the registered transport boundaries do).
 """
 
 from __future__ import annotations

@@ -2,9 +2,9 @@
 
 Packets are the central currency of the simulator.  A packet carries an
 IP header (source, destination, protocol, TTL, identification,
-fragmentation fields), a payload, and bookkeeping used by the analysis
-layer (a unique trace id and hop records appended by
-:mod:`repro.netsim.trace`).
+fragmentation fields), a payload, and a trace id that survives
+encapsulation and fragmentation, by which :mod:`repro.netsim.trace`
+follows one logical datagram end to end.
 
 Encapsulation — the heart of the paper — is modelled by letting the
 payload of a packet be *another packet*.  ``Packet.wire_size`` then
@@ -17,14 +17,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
-from typing import Any, List, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from .addressing import IPAddress
 
 __all__ = [
     "IPProto",
     "IPV4_HEADER_SIZE",
-    "HopRecord",
     "Packet",
     "DEFAULT_TTL",
 ]
@@ -45,22 +44,6 @@ class IPProto(IntEnum):
     UDP = 17
     GRE = 47        # Generic Routing Encapsulation (RFC 1702)
     MINENC = 55     # Minimal Encapsulation (Per95)
-
-
-@dataclass(frozen=True)
-class HopRecord:
-    """One hop in a packet's journey, recorded for analysis.
-
-    ``node`` is the name of the node the packet visited, ``action`` is
-    what happened there (``forward``, ``deliver``, ``drop``,
-    ``encapsulate``, ``decapsulate``, ``fragment``...), and ``detail``
-    is a human-readable explanation (e.g. the filter rule that fired).
-    """
-
-    time: float
-    node: str
-    action: str
-    detail: str = ""
 
 
 @dataclass
@@ -107,7 +90,6 @@ class Packet:
     # Analysis bookkeeping.  trace_id survives encapsulation/decapsulation
     # and fragmentation so a logical datagram can be followed end to end.
     trace_id: int = field(default_factory=lambda: next(_trace_ids))
-    hops: List[HopRecord] = field(default_factory=list)
     # Cached inner_size.  The encapsulation stack is effectively
     # immutable after construction; the few sites that do mutate
     # size-relevant fields (fragmentation, reassembly) must call
@@ -209,40 +191,6 @@ class Packet:
         return depth
 
     # ------------------------------------------------------------------
-    # Trace helpers
-    # ------------------------------------------------------------------
-    def record(self, time: float, node: str, action: str, detail: str = "") -> None:
-        """Append a hop record (shared with the innermost packet's list)."""
-        # Built via __new__ + __dict__: the frozen dataclass __init__
-        # routes every field through object.__setattr__, and this runs
-        # once per trace event.  Field values match the constructor.
-        hop = HopRecord.__new__(HopRecord)
-        hop.__dict__.update(time=time, node=node, action=action, detail=detail)
-        self.hops.append(hop)
-
-    @property
-    def path(self) -> Tuple[str, ...]:
-        """Names of nodes that forwarded or delivered this packet."""
-        return tuple(
-            hop.node for hop in self.hops if hop.action in ("forward", "deliver")
-        )
-
-    @property
-    def hop_count(self) -> int:
-        return sum(1 for hop in self.hops if hop.action == "forward")
-
-    @property
-    def was_dropped(self) -> bool:
-        return any(hop.action == "drop" for hop in self.hops)
-
-    @property
-    def drop_reason(self) -> Optional[str]:
-        for hop in self.hops:
-            if hop.action == "drop":
-                return hop.detail
-        return None
-
-    # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
     def copy_for_fragment(self, offset: int, size: int, more: bool) -> "Packet":
@@ -253,7 +201,6 @@ class Packet:
             payload_size=size,
             frag_offset=offset,
             more_fragments=more,
-            hops=list(self.hops),
         )
         # First fragment keeps the payload object so delivery still works
         # after reassembly; continuation fragments carry only bytes.

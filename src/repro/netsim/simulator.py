@@ -38,8 +38,8 @@ class Simulator:
         trace_aggregates: bool = True,
         fast_forward: bool = True,
     ):
-        """``trace_entries=False`` drops per-event entries but keeps hop
-        records and aggregate counters; additionally passing
+        """``trace_entries=False`` drops per-event entries but keeps the
+        aggregate counters; additionally passing
         ``trace_aggregates=False`` makes the log record nothing for
         maximum-throughput runs; trace subscribers still receive every
         event (see :class:`TraceLog`).

@@ -6,11 +6,11 @@ where they travel (Figures 1, 3, 4, 5), where they are dropped
 collects a global record of packet fates that the analysis layer and
 the figure benchmarks query.
 
-Nodes call :meth:`TraceLog.note` as packets pass through them; the
-per-packet hop list (see :class:`repro.netsim.packet.HopRecord`) holds
-the same information packet-locally.  The global log adds cross-packet
-queries: delivery ratios, per-destination drop summaries, and byte
-accounting per link.
+Nodes call :meth:`TraceLog.note` as packets pass through them, and
+the log is the only record of a packet's journey: per-datagram queries
+by trace id (path, delivery, drop and its reason, hop counts) sit next
+to cross-packet ones (delivery ratios, per-destination drop summaries,
+and byte accounting per link).
 
 Observers that read the event stream live (span recorder, invariant
 monitor, flight recorder, fast-forward capture) subscribe to the log
@@ -133,12 +133,11 @@ class TraceLog:
     Three levels of tracing, cheapest first:
 
     * ``TraceLog(enabled=False, aggregates=False)`` — records nothing:
-      :meth:`note` skips hop records, counter updates and entry
-      construction behind one ``aggregates`` check, so large
-      throughput runs pay one call and one branch per event.
-    * ``TraceLog(enabled=False)`` — keeps the per-packet hop records
-      and the incremental aggregates (action counts, drop reasons)
-      but stores no per-event rows.
+      :meth:`note` skips counter updates and row construction behind
+      one ``aggregates`` check, so large throughput runs pay one call
+      and one branch per event.
+    * ``TraceLog(enabled=False)`` — aggregate counters only (action
+      counts, drop and loss reasons, link bytes); no per-event rows.
     * ``TraceLog()`` — full tracing; every event becomes one row in
       :attr:`rows` (see :func:`freeze_row`).
 
@@ -196,10 +195,9 @@ class TraceLog:
         packet: Packet,
         detail: str = "",
     ) -> None:
-        """Record an event at this log's level, globally and on the
-        packet itself, then pass it to every subscriber in order."""
+        """Record an event at this log's level, then pass it to every
+        subscriber in order."""
         if self.aggregates:
-            packet.record(time, node, action, detail)
             self.action_counts[action] += 1
             if action == "drop":
                 self.drops_by_reason[detail] += 1

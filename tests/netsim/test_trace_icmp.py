@@ -28,7 +28,7 @@ class TestTraceLog:
         log.note(1.0, "n1", "send", packet)
         log.note(2.0, "n2", "deliver", packet)
         assert log.delivered(packet.trace_id)
-        assert packet.path == ("n2",)
+        assert log.path_of(packet.trace_id) == ("n2",)
         assert log.total_deliveries == 1
 
     def test_drop_bookkeeping(self):

@@ -610,6 +610,13 @@ class TestReportSubcommand:
             assert "x |" in out  # speedup column
         else:
             assert "## suite" in out
+        if "fast_forward_deltas" in data:
+            assert "| scenario_traffic | 2,641 | 10,788 | 4.09x |" in out
+            assert "| chaos_recovery | 59,858 | 60,402 | 1.01x |" in out
+            assert main(["report", str(bench), "--json"]) == 0
+            deltas = json.loads(capsys.readouterr().out)["fast_forward_deltas"]
+            assert round(deltas["scenario_traffic"]["speedup"], 2) == 4.09
+            assert round(deltas["chaos_recovery"]["speedup"], 2) == 1.01
 
     def test_report_missing_file_errors(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "nope.jsonl")]) == 1
@@ -620,7 +627,11 @@ class TestReportSubcommand:
         ('{"meta": {}, "results": []}', "results is not an object"),
         ('{"meta": {}, "results": {"x": {"units": 1}}}',
          "results.x.ns_per_op is not a number"),
-    ], ids=["not-bench", "results-list", "no-ns-per-op"])
+        ('{"meta": {}, "results": {}, "fast_forward_deltas": '
+         '{"x": {"ff_off_ops_per_sec": 1, "ff_on_ops_per_sec": "2", '
+         '"speedup": 2}}}',
+         "fast_forward_deltas.x.ff_on_ops_per_sec is not a number"),
+    ], ids=["not-bench", "results-list", "no-ns-per-op", "ff-delta-string"])
     def test_report_unrecognized_json_errors(self, tmp_path, capsys,
                                              text, message):
         other = tmp_path / "other.json"

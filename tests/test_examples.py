@@ -8,6 +8,10 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
+from repro.experiment import ExperimentSpec, Runner
+
 
 EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
@@ -59,3 +63,19 @@ class TestExamples:
         assert "registered through the firewall: True" in out
         assert "laptop received: ('file-contents', 'quarterly-report.doc')" in out
         assert "attacker received: nothing" in out
+
+
+# The example specs that ``Runner`` accepts (``grid_4x4.json`` is a
+# sweep grid), pinned by the digest of their whole trace.
+SPEC_DIGESTS = {
+    "mega_world.json":
+        "1dfc9a60bb8b3b2e1e763fe08f0667394c030b64dce7dfceaa458c2a6176c32b",
+    "violating_spec.json":
+        "751d5094488e03683c7e9b27a8e21fb839d655326672c59b78362a5a3f9e9bce",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPEC_DIGESTS))
+def test_example_spec_digest(name):
+    result = Runner().run(ExperimentSpec.from_file(str(EXAMPLES / name)))
+    assert result.digest == SPEC_DIGESTS[name]
